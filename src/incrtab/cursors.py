@@ -22,15 +22,6 @@ SNAPSHOT = "snapshot"
 DONE = "done"
 
 
-class CursorSnapshot:
-    """Ordered unconsumed answer substitutions with frozen truth markers."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: list):
-        self.entries = tuple(entries)   # ((terms, marker), ...)
-
-
 class Cursor:
     __slots__ = ("table", "mode", "pos", "snapshot", "_keys")
 
@@ -38,7 +29,7 @@ class Cursor:
         self.table = table
         self.mode = LIVE
         self.pos = 0
-        self.snapshot: Optional[CursorSnapshot] = None
+        self.snapshot: Optional[tuple] = None   # ((terms, marker), ...)
         # Insertion order frozen at open time; deletions are checked at
         # yield time, additions after open are past the recorded suffix
         # only if the table is re-evaluated, which snapshots first.
@@ -58,12 +49,12 @@ class Cursor:
         if self.mode == DONE:
             return None
         if self.mode == SNAPSHOT:
-            if self.pos >= len(self.snapshot.entries):
+            if self.pos >= len(self.snapshot):
                 self._release()
                 return None
-            terms, marker = self.snapshot.entries[self.pos]
+            terms, marker = self.snapshot[self.pos]
             self.pos += 1
-            if self.pos >= len(self.snapshot.entries):
+            if self.pos >= len(self.snapshot):
                 self._release()
             return terms, marker
         while self.pos < len(self._keys):
@@ -125,7 +116,7 @@ def preserve_views(table: Table) -> None:
                 continue
             marker = TRUE if answer.unconditional else UNDEFINED
             entries.append((answer.terms, marker))
-        cursor.snapshot = CursorSnapshot(entries)
+        cursor.snapshot = tuple(entries)
         cursor.mode = SNAPSHOT
         cursor.pos = 0
     table.occp_num = 0

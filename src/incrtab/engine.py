@@ -43,6 +43,7 @@ from .program import (
     Literal,
     PredicateDecl,
     ProgramStore,
+    literal_key,
 )
 from .tables import (
     COMPLETED,
@@ -213,7 +214,7 @@ class Evaluation:
             answer = table.answers.get(key)
             if answer is None or answer.deleted:
                 continue
-            if self.engine._resume(self, sub, table, answer):
+            if self.engine._resume_with(self, sub.cont, sub.goal, table, answer):
                 produced = True
         return produced
 
@@ -365,12 +366,6 @@ class Engine:
         bodies, out_vars = parse_goal(text)
         return self.solve_goal(bodies, out_vars)
 
-    def query_vars(self, text: str) -> list:
-        from .parser import parse_goal
-
-        _, out_vars = parse_goal(text)
-        return [v.name for v in out_vars]
-
     # -- public query API ----------------------------------------------------
 
     def solve(self, goal: Term) -> cursors.Cursor:
@@ -419,13 +414,7 @@ class Engine:
         numbering: dict = {}
         key_parts = []
         for body in bodies:
-            for lit in body:
-                parts = [lit.kind]
-                if lit.atom is not None:
-                    parts.append(canonical_key(lit.atom, None, numbering))
-                for a in lit.args:
-                    parts.append(canonical_key(a, None, numbering))
-                key_parts.append(tuple(parts))
+            key_parts.extend(literal_key(lit, numbering) for lit in body)
             key_parts.append(("|",))
         key = (tuple(key_parts), tuple(numbering.get(v) for v in out_vars))
         cached = self._driver_cache.get(key)
@@ -595,12 +584,10 @@ class Engine:
         node = table.idg_node
         if node is not None:
             self.idg.invalidate_from([node])
-            self.idg.drop_node(node)
-        self.space.remove_table(table)
-        if table.decl is not None and table.decl.subgoal_abstraction is not None:
-            self._abstract_alias.clear()
+        self._drop_table(table)
 
-    def _abolish_incomplete(self, table: Table) -> None:
+    def _drop_table(self, table: Table) -> None:
+        """Forget a table, its IDG node and any subgoal alias to it."""
         node = table.idg_node
         if node is not None:
             self.idg.drop_node(node)
@@ -623,7 +610,7 @@ class Engine:
             if node is not None:
                 self.idg.invalidate_from([node])
         for table in doomed:
-            self._abolish_incomplete(table)
+            self._drop_table(table)
 
     # -- evaluator ------------------------------------------------------------
 
@@ -805,10 +792,6 @@ class Engine:
         evaluation.record_dep(owner, provider)
         return (DelayLiteral(NEG, provider, atom=atom),)
 
-    def _resume(self, evaluation: Evaluation, sub: Subscription,
-                provider: Table, answer) -> bool:
-        return self._resume_with(evaluation, sub.cont, sub.goal, provider, answer)
-
     def _resume_with(self, evaluation: Evaluation, template: Continuation,
                      goal: Term, provider: Table, answer) -> bool:
         instance = provider.answer_instance(answer)
@@ -950,7 +933,9 @@ class Engine:
                 self.space.strengthen_answer(table, answer)
             elif prop not in overestimate:
                 self.space.delete_answer(table, answer)
-        # Physical cleanup of surviving lists against settled truths.
+        # Physical cleanup of surviving lists against settled truths: a
+        # literal is settled true if it holds with undefined read as false,
+        # settled false if it fails with undefined read as true.
         for table, answer in conditional:
             if table.answers.get(answer.key) is not answer or answer.unconditional:
                 continue
@@ -958,32 +943,11 @@ class Engine:
                 if dl.falsified:
                     continue
                 for lit in list(dl.literals):
-                    verdict = self._settled_literal(lit, in_scc, true_set, overestimate)
-                    if verdict is True:
+                    if literal_eval(lit, overestimate, False, true_set):
                         dl.literals.remove(lit)
                         dl.invalidate_canon()
-                    elif verdict is False:
+                    elif not literal_eval(lit, true_set, True, overestimate):
                         dl.falsified = True
                         break
             if not any(not dl.falsified for dl in answer.delay_lists):
                 raise InternalStateError("undefined answer lost all delay lists")
-
-    def _settled_literal(self, lit: DelayLiteral, in_scc: set,
-                         true_set: set, overestimate: set) -> Optional[bool]:
-        """Truth of a delay literal after the component settled; None if it
-        stays undefined."""
-        if lit.sign in (UNDEF, RESTRAINT):
-            return None
-        ptable = lit.table
-        if lit.sign == POS_LIT:
-            pans = ptable.answers.get(lit.answer_key)
-            if pans is None or pans.deleted:
-                return False
-            if pans.unconditional:
-                return True
-            return None
-        if ptable.has_unconditional_covering(lit.atom):
-            return False
-        if ptable.has_answer_covering(lit.atom):
-            return None
-        return True

@@ -9,7 +9,7 @@ import itertools
 from typing import Optional
 
 from .errors import InternalStateError, PermissionViolation
-from .terms import Term, abstract_depth, canonical_key, format_term, unify
+from .terms import Term, abstract_depth, canonical_key, format_term, resolve, unify
 
 COMPUTE_DEPENDENCIES_FIRST = "compute_dependencies_first"
 COMPUTE_DIRECTLY = "compute_directly"
@@ -85,8 +85,6 @@ class Idg:
         parent.dependent_edges.setdefault(child)
 
     def register_dynamic_leaf(self, goal: Term, decl, env=None) -> DynamicLeaf:
-        from .terms import resolve
-
         pred = (decl.name, decl.arity)
         bucket = self.leaves.setdefault(pred, {})
         if decl.idg_abstraction is not None:

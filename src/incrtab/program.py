@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import ExistenceError, PermissionViolation
 from .terms import (
@@ -17,7 +17,7 @@ from .terms import (
     format_term,
     functor_of,
     rename_clause,
-    unify,
+    walk,
 )
 
 # Literal kinds
@@ -245,7 +245,6 @@ class ProgramStore:
         if isinstance(head, Struct) and head.args:
             a = head.args[0]
             if env is not None:
-                from .terms import walk
                 a = walk(a, env)
             if isinstance(a, Const):
                 return ("c", type(a.value).__name__, a.value)
@@ -277,10 +276,11 @@ class ProgramStore:
                 f"assert requires a dynamic incremental predicate, got {pred[0]}/{pred[1]}"
             )
         self._validate_body(decl, clause)
-        self._store_dynamic(clause, decl)
         token = UpdateToken("assert", clause, decl)
+        # Invalidate before storing, so that a failed update changes nothing.
         if self.on_update is not None:
             self.on_update(token)
+        self._store_dynamic(clause, decl)
         return token
 
     def retract_clause(self, clause: Clause) -> UpdateToken:
@@ -299,32 +299,17 @@ class ProgramStore:
                 break
         if found is None:
             return UpdateToken("retract", None, decl)
+        token = UpdateToken("retract", found, decl)
+        if self.on_update is not None:
+            self.on_update(token)
         del store[found.id]
         key = self._arg1_key(found.head)
         bucket = self.dynamic_index.get(pred, {}).get(key)
         if bucket is not None:
             bucket.remove(found.id)
-        token = UpdateToken("retract", found, decl)
-        if self.on_update is not None:
-            self.on_update(token)
         return token
 
     # -- resolution feed -------------------------------------------------
-
-    def matching_clauses(self, goal: Term) -> Iterator[tuple]:
-        """All clauses whose renamed-apart head unifies with goal, in order,
-        paired with the mgu of goal and head."""
-        pred = functor_of(goal)
-        decl = self.require_decl(pred)
-        if decl.dynamic:
-            clauses = self._dynamic_candidates(pred, goal)
-        else:
-            clauses = self.static_clauses.get(pred, [])
-        for clause in clauses:
-            head, body = clause.rename()
-            mgu = unify(goal, head)
-            if mgu is not None:
-                yield clause, head, body, mgu
 
     def _dynamic_candidates(self, pred: tuple, goal: Term,
                             env: Optional[dict] = None) -> list:
@@ -344,27 +329,20 @@ class ProgramStore:
                 ids = sorted(keyed + open_headed)
         return [store[cid] for cid in ids if cid in store]
 
-    def has_clauses(self, pred: tuple) -> bool:
-        return bool(self.static_clauses.get(pred)) or bool(self.dynamic_clauses.get(pred))
 
-    def clause_count(self, pred: tuple) -> int:
-        decl = self.decls.get(pred)
-        if decl is None:
-            return 0
-        if decl.dynamic:
-            return len(self.dynamic_clauses.get(pred, {}))
-        return len(self.static_clauses.get(pred, []))
+def literal_key(lit: Literal, numbering: dict) -> tuple:
+    """Variant key of a body literal, numbering variables through numbering."""
+    parts = [lit.kind]
+    if lit.atom is not None:
+        parts.append(canonical_key(lit.atom, None, numbering))
+    for a in lit.args:
+        parts.append(canonical_key(a, None, numbering))
+    return tuple(parts)
 
 
 def _clause_variant_key(clause: Clause):
     numbering: dict = {}
     head_key = canonical_key(clause.head, None, numbering)
-    body_keys = []
-    for lit in clause.body:
-        parts = [lit.kind]
-        if lit.atom is not None:
-            parts.append(canonical_key(lit.atom, None, numbering))
-        for a in lit.args:
-            parts.append(canonical_key(a, None, numbering))
-        body_keys.append(tuple(parts))
-    return (head_key, tuple(body_keys))
+    if not clause.body:
+        return (head_key, ())
+    return (head_key, tuple([literal_key(lit, numbering) for lit in clause.body]))

@@ -10,12 +10,11 @@ from typing import Iterator, Optional
 
 from .errors import InternalStateError
 from .terms import (
-    Subst,
     Term,
+    apply,
     canonical_key,
     canonical_tuple_key,
     format_term,
-    is_ground,
     term_vars,
     unify,
 )
@@ -133,7 +132,6 @@ class Table:
     __slots__ = (
         "serial", "subgoal", "subst_vars", "decl", "answers", "status",
         "occp_num", "idg_node", "cursors", "in_reeval", "cut_hit",
-        "program_exhausted",
     )
 
     def __init__(self, subgoal: Term, decl):
@@ -148,7 +146,6 @@ class Table:
         self.cursors: list = []      # live cursors (view-cursor module)
         self.in_reeval = False
         self.cut_hit = False
-        self.program_exhausted = False
 
     @property
     def ans_subst_size(self) -> int:
@@ -169,7 +166,6 @@ class Table:
             if not self.subst_vars:
                 instance = self.subgoal
             else:
-                from .terms import apply
                 instance = apply(dict(zip(self.subst_vars, answer.terms)), self.subgoal)
             answer._instance = instance
         return instance
@@ -269,7 +265,7 @@ class TableSpace:
         if existing.deleted:
             existing.deleted = False
             was_cond = not existing.was_unconditional
-            self._clear_lists(existing)
+            existing.delay_lists = []
             if delays:
                 dl = DelayList(delays)
                 existing.delay_lists.append(dl)
@@ -325,15 +321,6 @@ class TableSpace:
 
     # -- simplification ----------------------------------------------------
 
-    def simplify(self, table: Table, answer: Optional[Answer], outcome: str) -> None:
-        """Propagate a newly decided truth value to dependent answers.
-
-        outcome "now_true": answer became unconditional.
-        outcome "now_false": answer was removed from its table.
-        """
-        self._queue(("true" if outcome == "now_true" else "false", table, answer))
-        self._run_events()
-
     def strengthen_answer(self, table: Table, answer: Answer) -> None:
         """Settle a conditional answer to true and propagate."""
         if table.answers.get(answer.key) is not answer or answer.unconditional:
@@ -354,14 +341,11 @@ class TableSpace:
             if key is not None:
                 self.backrefs.setdefault(key, []).append((table, answer, dl, lit))
 
-    def _clear_lists(self, answer: Answer) -> None:
-        answer.delay_lists = []
-
     def _strengthen(self, table: Table, answer: Answer) -> None:
         if table.status == COMPLETED and table.occp_num > 0 and self.preserve_hook:
             self.preserve_hook(table)
         self.stats["strengthened"] += 1
-        self._clear_lists(answer)
+        answer.delay_lists = []
         self._queue(("true", table, answer))
 
     def _delete_answer(self, table: Table, answer: Answer) -> None:

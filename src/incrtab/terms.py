@@ -16,8 +16,6 @@ Value = Union[str, int]
 ABSTRACT_PREFIX = "$abs"
 SKOLEM_PREFIX = "$sk"
 
-_fresh_counter = itertools.count(1)
-
 
 class Term:
     __slots__ = ()
@@ -91,10 +89,6 @@ def mk(functor: str, *args) -> Term:
     if not terms:
         return Const(functor)
     return Struct(functor, terms)
-
-
-def fresh_var(name: str = "_") -> Var:
-    return Var(f"{name}#{next(_fresh_counter)}")
 
 
 def functor_of(t: Term) -> tuple:
@@ -290,13 +284,6 @@ def canonical_tuple_key(terms: tuple, env: Optional[Subst] = None) -> tuple:
     return tuple(canonical_key(t, env, numbering) for t in terms)
 
 
-def term_depth(t: Term) -> int:
-    """Depth of t with constants/variables at depth 0."""
-    if isinstance(t, Struct):
-        return 1 + max(term_depth(a) for a in t.args)
-    return 0
-
-
 def abstract_depth(t: Term, k: int) -> tuple:
     """Replace subterms of the atom t deeper than k by distinct fresh variables.
 
@@ -421,8 +408,7 @@ def format_term(t: Term, env: Optional[Subst] = None) -> str:
     if env is not None:
         t = walk(t, env)
     if isinstance(t, Var):
-        base = t.name.split("#", 1)[0]
-        return base if base != "_" else f"_G{id(t) & 0xFFFF:04x}"
+        return t.name if t.name != "_" else f"_G{id(t) & 0xFFFF:04x}"
     if isinstance(t, Const):
         if isinstance(t.value, int):
             return str(t.value)

@@ -108,10 +108,10 @@ def test_snapshot_immutable_after_close_of_table():
     cursor.next()
     engine.store.assert_clause(parse_clause("edge(1,9)."))
     list(engine.query("reach(X,Y)"))
-    snap_before = cursor.snapshot.entries
+    snap_before = cursor.snapshot
     engine.store.assert_clause(parse_clause("edge(9,9)."))
     list(engine.query("reach(X,Y)"))
-    assert cursor.snapshot.entries == snap_before
+    assert cursor.snapshot == snap_before
 
 
 def test_close_released_snapshot_noop():

@@ -319,3 +319,27 @@ e(1,2). e(2,1).
     # the driver is incremental: an update flows through to the requery
     engine.store.retract_clause(parse_clause("e(2,1)."))
     assert answers_of(engine.query("helper(X)")) == []
+
+
+def test_driver_cache_reuses_variants_and_separates_bodies():
+    engine = Engine()
+    engine.consult_text("""
+p(1). p(2).
+q(2). q(3).
+""")
+
+    def drivers():
+        return [row for row in engine.space.snapshot() if "$query" in row["subgoal"]]
+
+    assert answers_of(engine.query("p(X)")) == [((1,), "true"), ((2,), "true")]
+    assert len(drivers()) == 1
+    # a variant of the same non-tabled query reuses its driver table
+    assert answers_of(engine.query("p(Y)")) == [((1,), "true"), ((2,), "true")]
+    assert len(drivers()) == 1
+    # conjunction and disjunction of the same literals get their own drivers
+    assert answers_of(engine.query("p(X), q(X)")) == [((2,), "true")]
+    assert answers_of(engine.query("p(X) ; q(X)")) == [
+        ((1,), "true"), ((2,), "true"), ((3,), "true")]
+    assert len(drivers()) == 3
+    assert answers_of(engine.query("p(X), q(X)")) == [((2,), "true")]
+    assert len(drivers()) == 3

@@ -5,6 +5,7 @@ import pytest
 
 from incrtab.engine import Engine
 from incrtab.errors import ExistenceError
+from incrtab.idg import Idg
 from incrtab.parser import parse_clause
 from incrtab.terms import Const, Var, format_term, mk
 
@@ -306,3 +307,45 @@ def test_abolish_unknown_table():
     engine.consult_text(REACH)
     with pytest.raises(ExistenceError):
         engine.abolish_table(mk("reach", Var("X"), Var("Y")))
+
+
+LEN = """
+:- table len/2 as incremental.
+:- dynamic lst/1 as incremental.
+len(X,N) :- lst(X), N = 1.
+lst(nil).
+"""
+
+
+def fail_leaf_matching(self, pred, head):
+    raise RuntimeError("injected leaf-matching failure")
+
+
+def test_failed_assert_stores_nothing(monkeypatch):
+    engine = Engine()
+    engine.consult_text(LEN)
+    before = answers_of(engine.query("len(X,N)"))
+    with monkeypatch.context() as patch:
+        patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
+        with pytest.raises(RuntimeError):
+            engine.store.assert_clause(parse_clause("lst(a)."))
+    assert len(engine.store.dynamic_clauses[("lst", 1)]) == 1
+    assert answers_of(engine.query("len(X,N)")) == before
+    engine.store.assert_clause(parse_clause("lst(a)."))
+    assert answers_of(engine.query("len(X,N)")) == [
+        (("a", 1), "true"), (("nil", 1), "true")]
+
+
+def test_failed_retract_keeps_clause(monkeypatch):
+    engine = Engine()
+    engine.consult_text(LEN + "lst(a).\n")
+    before = answers_of(engine.query("len(X,N)"))
+    assert len(before) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
+        with pytest.raises(RuntimeError):
+            engine.store.retract_clause(parse_clause("lst(a)."))
+    assert len(engine.store.dynamic_clauses[("lst", 1)]) == 2
+    assert answers_of(engine.query("len(X,N)")) == before
+    engine.store.retract_clause(parse_clause("lst(a)."))
+    assert answers_of(engine.query("len(X,N)")) == [(("nil", 1), "true")]

@@ -3,7 +3,7 @@ import pytest
 from incrtab.errors import ExistenceError, ParseError, PermissionViolation
 from incrtab.parser import parse_clause, parse_program
 from incrtab.program import Clause, Literal, POS, PredicateDecl, ProgramStore
-from incrtab.terms import Const, Var, canonical_key, mk
+from incrtab.terms import Const, Var, canonical_key, mk, unify
 
 
 def make_store():
@@ -55,8 +55,7 @@ def test_load_clause_source_order():
     store.load_clause(c1)
     store.load_clause(c2)
     goal = mk("reach", Var("A"), Var("B"))
-    matched = [clause for clause, *_ in store.matching_clauses(goal)]
-    assert matched == [c1, c2]
+    assert store.static_candidates(("reach", 2), goal) == [c1, c2]
 
 
 def test_load_clause_dynamic_head_rejected():
@@ -92,7 +91,7 @@ def test_assert_then_retract_roundtrip():
     store.assert_clause(parse_clause("edge(1,2)."))
     token = store.retract_clause(parse_clause("edge(1,2)."))
     assert token.clause is not None
-    assert not store.has_clauses(("edge", 2))
+    assert not store.dynamic_clauses[("edge", 2)]
 
 
 def test_retract_absent_fact_is_noop_token():
@@ -106,13 +105,13 @@ def test_retract_removes_first_variant_only():
     store.assert_clause(parse_clause("edge(1,2)."))
     store.assert_clause(parse_clause("edge(1,2)."))
     store.retract_clause(parse_clause("edge(1,2)."))
-    assert store.clause_count(("edge", 2)) == 1
+    assert len(store.dynamic_clauses[("edge", 2)]) == 1
 
 
 def test_matching_clauses_unknown_predicate():
     store = make_store()
     with pytest.raises(ExistenceError):
-        list(store.matching_clauses(mk("nope", Var("X"))))
+        store.require_decl(("nope", 1))
 
 
 def test_matching_clauses_first_argument_indexing():
@@ -120,9 +119,11 @@ def test_matching_clauses_first_argument_indexing():
     store.declare(PredicateDecl("p", 1, dynamic=True, incremental=True))
     store.assert_clause(parse_clause("p(f(1))."))
     store.assert_clause(parse_clause("p(g(2))."))
-    matches = list(store.matching_clauses(mk("p", mk("f", Var("X")))))
+    goal = mk("p", mk("f", Var("X")))
+    matches = store._dynamic_candidates(("p", 1), goal)
     assert len(matches) == 1
-    _, head, _, mgu = matches[0]
+    head, _ = matches[0].rename()
+    assert unify(goal, head) is not None
     assert canonical_key(head) == canonical_key(mk("p", mk("f", 1)))
 
 
@@ -135,8 +136,8 @@ def test_clause_order_stable_across_interleaved_updates():
     store.retract_clause(parse_clause("p(2)."))
     store.assert_clause(parse_clause("p(4)."))
     goal = mk("p", Var("X"))
-    values = [mgu[list(mgu)[0]].value
-              for _, head, _, mgu in store.matching_clauses(goal)]
+    values = [clause.head.args[0].value
+              for clause in store._dynamic_candidates(("p", 1), goal)]
     assert values == [1, 3, 4]
 
 

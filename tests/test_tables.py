@@ -176,10 +176,13 @@ def test_simplify_noop_without_dependents():
     space = TableSpace()
     provider = ground_table(space, "q")
     provider.status = "incomplete"
-    space.add_answer(provider, (), [])
+    # a new unconditional answer propagates its truth at once; with no
+    # dependents that has no effect
+    assert space.add_answer(provider, (), []) == NEW_SUBSTITUTION
     provider.status = COMPLETED
     answer = next(iter(provider.answers.values()))
-    space.simplify(provider, answer, "now_true")  # no dependents: no effect
+    assert answer.unconditional
+    assert space.stats["simplifications"] == 0
     assert provider.answers
 
 

@@ -14,7 +14,6 @@ from incrtab.terms import (
     is_variant,
     mk,
     skolemize,
-    term_depth,
     term_vars,
     unify,
 )
@@ -75,7 +74,7 @@ def test_abstract_depth_level_one():
     t = mk("q", mk("f", 1))
     abstracted, binding = abstract_depth(t, 1)
     assert format_term(abstracted).startswith("q(f(")
-    assert term_depth(abstracted) == 2
+    assert isinstance(abstracted.args[0].args[0], Var)
     assert canonical_key(apply(binding, abstracted)) == canonical_key(t)
 
 
