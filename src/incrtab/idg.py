@@ -1,6 +1,11 @@
 """The incremental dependency graph: nodes for incremental tabled subgoals,
 leaf patterns for dynamic incremental calls, falsecount invalidation,
 validity propagation and dependency collection for lazy recomputation.
+
+Leaf patterns are indexed on the key of their first argument
+(`terms.arg1_key`), so an update tests only the leaves whose first argument
+can unify with that of the updated clause head: those with the same key and
+those with a variable first argument.
 """
 
 from __future__ import annotations
@@ -9,7 +14,15 @@ import itertools
 from typing import Optional
 
 from .errors import InternalStateError, PermissionViolation
-from .terms import Term, abstract_depth, canonical_key, format_term, resolve, unify
+from .terms import (
+    Term,
+    abstract_depth,
+    arg1_key,
+    canonical_key,
+    format_term,
+    resolve,
+    unify_in,
+)
 
 COMPUTE_DEPENDENCIES_FIRST = "compute_dependencies_first"
 COMPUTE_DIRECTLY = "compute_directly"
@@ -68,6 +81,8 @@ class Idg:
     def __init__(self):
         self.nodes: dict = {}     # table serial -> IdgNode
         self.leaves: dict = {}    # pred -> {pattern canonical key -> DynamicLeaf}
+        # pred -> {arg1 key of the pattern (None: variable) -> leaves in serial order}
+        self.leaf_index: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -100,12 +115,25 @@ class Idg:
                 pattern = resolve(goal, env) if env else goal
             leaf = DynamicLeaf(pattern, pred)
             bucket[key] = leaf
+            index = self.leaf_index.setdefault(pred, {})
+            index.setdefault(arg1_key(pattern), []).append(leaf)
         return leaf
 
     def leaves_matching(self, pred: tuple, head: Term) -> list:
-        """Leaf patterns of pred unifying with an updated clause head."""
-        return [leaf for leaf in self.leaves.get(pred, {}).values()
-                if unify(leaf.pattern, head) is not None]
+        """Leaf patterns of pred unifying with an updated clause head, in
+        serial order."""
+        index = self.leaf_index.get(pred)
+        if not index:
+            return []
+        key = arg1_key(head)
+        if key is None:
+            candidates = self.leaves[pred].values()
+        else:
+            keyed = index.get(key, [])
+            open_first = index.get(None, [])
+            candidates = (sorted(keyed + open_first, key=lambda leaf: leaf.serial)
+                          if keyed and open_first else keyed or open_first)
+        return [leaf for leaf in candidates if unify_in(leaf.pattern, head, {})]
 
     def drop_node(self, node: IdgNode) -> None:
         for parent in node.affected_edges:

@@ -1,5 +1,10 @@
 """Clause database: predicate declarations, static rules, dynamic incremental
 facts/rules, and the assert/retract entry points that feed invalidation.
+
+Static and dynamic clauses are numbered by the store (source order and
+assert order) and indexed on the key of their first argument
+(`terms.arg1_key`).  Variants share that key, so `retract_clause` looks for
+the first stored variant in one index bucket only.
 """
 
 from __future__ import annotations
@@ -10,14 +15,12 @@ from typing import Callable, Optional
 
 from .errors import ExistenceError, PermissionViolation
 from .terms import (
-    Const,
-    Struct,
     Term,
+    arg1_key,
     canonical_key,
     format_term,
     functor_of,
     rename_clause,
-    walk,
 )
 
 # Literal kinds
@@ -60,16 +63,12 @@ class Literal:
         return self.kind
 
 
-_clause_ids = itertools.count(1)
-
-
 class Clause:
-    __slots__ = ("head", "body", "id")
+    __slots__ = ("head", "body")
 
-    def __init__(self, head: Term, body: list, clause_id: Optional[int] = None):
+    def __init__(self, head: Term, body: list):
         self.head = head
         self.body = body
-        self.id = clause_id if clause_id is not None else next(_clause_ids)
 
     def rename(self) -> tuple:
         return rename_clause(self.head, self.body)
@@ -107,16 +106,18 @@ class UpdateToken:
 class ProgramStore:
     """Declarations plus static and dynamic clauses.
 
-    Static clauses keep source order; dynamic facts are additionally indexed
-    on the principal functor of their first argument.
+    Static clauses keep source order, dynamic clauses assert order; both
+    are indexed on the key of their first argument.  A clause asserted twice
+    is stored twice, under two sequence numbers.
     """
 
     def __init__(self):
         self.decls: dict = {}                # (name, arity) -> PredicateDecl
         self.static_clauses: dict = {}       # (name, arity) -> list[Clause]
         self.static_index: dict = {}         # (name, arity) -> {arg1 key -> [(seq, Clause)]}
-        self.dynamic_clauses: dict = {}      # (name, arity) -> dict[id, Clause]
-        self.dynamic_index: dict = {}        # (name, arity) -> {arg1 key -> list[id]}
+        self.dynamic_clauses: dict = {}      # (name, arity) -> dict[seq, Clause]
+        self.dynamic_index: dict = {}        # (name, arity) -> {arg1 key -> list[seq]}
+        self._dynamic_seq = itertools.count(1)  # assert order
         self.on_update = None                # hook installed by the engine
 
     # -- declarations --------------------------------------------------
@@ -220,7 +221,7 @@ class ProgramStore:
         seq = len(bucket)
         bucket.append(clause)
         index = self.static_index.setdefault(pred, {})
-        index.setdefault(self._arg1_key(clause.head), []).append((seq, clause))
+        index.setdefault(arg1_key(clause.head), []).append((seq, clause))
 
     def static_candidates(self, pred: tuple, goal: Term,
                           env: Optional[dict] = None) -> list:
@@ -228,7 +229,7 @@ class ProgramStore:
         index = self.static_index.get(pred)
         if not index:
             return self.static_clauses.get(pred, [])
-        goal_key = self._arg1_key(goal, env)
+        goal_key = arg1_key(goal, env)
         if goal_key is None:
             return self.static_clauses.get(pred, [])
         keyed = index.get(goal_key, [])
@@ -241,22 +242,12 @@ class ProgramStore:
 
     # -- dynamic updates -----------------------------------------------
 
-    def _arg1_key(self, head: Term, env: Optional[dict] = None):
-        if isinstance(head, Struct) and head.args:
-            a = head.args[0]
-            if env is not None:
-                a = walk(a, env)
-            if isinstance(a, Const):
-                return ("c", type(a.value).__name__, a.value)
-            if isinstance(a, Struct):
-                return ("f", a.functor, len(a.args))
-        return None
-
     def _store_dynamic(self, clause: Clause, decl: PredicateDecl) -> None:
         pred = (decl.name, decl.arity)
-        self.dynamic_clauses.setdefault(pred, {})[clause.id] = clause
-        key = self._arg1_key(clause.head)
-        self.dynamic_index.setdefault(pred, {}).setdefault(key, []).append(clause.id)
+        seq = next(self._dynamic_seq)
+        self.dynamic_clauses.setdefault(pred, {})[seq] = clause
+        key = arg1_key(clause.head)
+        self.dynamic_index.setdefault(pred, {}).setdefault(key, []).append(seq)
 
     def store_dynamic_clause(self, clause: Clause) -> PredicateDecl:
         """Consult-time entry point: store without producing an update token."""
@@ -290,23 +281,21 @@ class ProgramStore:
             raise PermissionViolation(
                 f"retract requires a dynamic incremental predicate, got {pred[0]}/{pred[1]}"
             )
-        target_key = _clause_variant_key(clause)
+        # Variants share their first-argument key: the first stored variant
+        # is the first one in that key's bucket.
         store = self.dynamic_clauses.get(pred, {})
-        found = None
-        for cid in sorted(store):
-            if _clause_variant_key(store[cid]) == target_key:
-                found = store[cid]
+        bucket = self.dynamic_index.get(pred, {}).get(arg1_key(clause.head), ())
+        target_key = _clause_variant_key(clause)
+        for pos, seq in enumerate(bucket):
+            if _clause_variant_key(store[seq]) == target_key:
                 break
-        if found is None:
+        else:
             return UpdateToken("retract", None, decl)
-        token = UpdateToken("retract", found, decl)
+        token = UpdateToken("retract", store[seq], decl)
         if self.on_update is not None:
             self.on_update(token)
-        del store[found.id]
-        key = self._arg1_key(found.head)
-        bucket = self.dynamic_index.get(pred, {}).get(key)
-        if bucket is not None:
-            bucket.remove(found.id)
+        del store[seq]
+        del bucket[pos]
         return token
 
     # -- resolution feed -------------------------------------------------
@@ -315,19 +304,18 @@ class ProgramStore:
                             env: Optional[dict] = None) -> list:
         store = self.dynamic_clauses.get(pred, {})
         index = self.dynamic_index.get(pred, {})
-        goal_key = self._arg1_key(goal, env)
+        goal_key = arg1_key(goal, env)
         if goal_key is None:
-            ids = sorted(store)
+            return list(store.values())  # seq order: seqs only grow
+        keyed = index.get(goal_key, [])
+        open_headed = index.get(None, [])
+        if not open_headed:
+            seqs = keyed  # buckets are appended in seq order
+        elif not keyed:
+            seqs = open_headed
         else:
-            keyed = index.get(goal_key, [])
-            open_headed = index.get(None, [])
-            if not open_headed:
-                ids = keyed  # buckets are appended in id order
-            elif not keyed:
-                ids = open_headed
-            else:
-                ids = sorted(keyed + open_headed)
-        return [store[cid] for cid in ids if cid in store]
+            seqs = sorted(keyed + open_headed)
+        return [store[seq] for seq in seqs]
 
 
 def literal_key(lit: Literal, numbering: dict) -> tuple:

@@ -109,6 +109,24 @@ def walk(t: Term, env: Subst) -> Term:
     return t
 
 
+def arg1_key(t: Term, env: Optional[Subst] = None):
+    """Index key of the first argument of atom t, None when it is unbound.
+
+    Constants key on type and value, compounds on name and arity, so two
+    atoms whose first-argument keys differ (neither None) cannot unify.
+    """
+    if type(t) is Struct and t.args:
+        a = t.args[0]
+        if env is not None:
+            a = walk(a, env)
+        tp = type(a)
+        if tp is Const:
+            return ("c", type(a.value).__name__, a.value)
+        if tp is Struct:
+            return ("f", a.functor, len(a.args))
+    return None
+
+
 def resolve(t: Term, env: Subst) -> Term:
     """Fully substitute bindings from env into t."""
     t = walk(t, env)

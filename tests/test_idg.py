@@ -1,12 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import incrtab.idg
+import incrtab.program
+from incrtab import bench, programs
 from incrtab.engine import Engine
 from incrtab.errors import InternalStateError, PermissionViolation
 from incrtab.idg import COMPUTE_DEPENDENCIES_FIRST, COMPUTE_DIRECTLY, Idg
 from incrtab.parser import parse_clause
 from incrtab.program import PredicateDecl
 from incrtab.tables import COMPLETED, Table
-from incrtab.terms import Var, format_term, mk
+from incrtab.terms import Const, Struct, Var, arg1_key, format_term, mk, unify
 
 P_INC = """
 :- table t_1/1, t_2/1, t_4/1, t_5/1 as incremental.
@@ -183,3 +188,98 @@ def test_idg_stats_empty_engine():
     engine = Engine()
     assert engine.idg.stats() == {"nodes": 0, "leaves": 0, "edges": 0,
                                   "invalid": 0}
+
+
+# -- first-argument leaf index ---------------------------------------------------
+
+_CONSTS = [Const(1), Const("1"), Const(2), Const("a")]
+
+
+@st.composite
+def _arg(draw, variables, kind=None):
+    """A constant, a variable, or f/g applied to one of those."""
+    kind = kind or draw(st.sampled_from(["const", "var", "struct"]))
+    if kind == "const":
+        return draw(st.sampled_from(_CONSTS))
+    if kind == "var":
+        return draw(st.sampled_from(variables))
+    inner = draw(st.sampled_from(_CONSTS + variables))
+    return Struct(draw(st.sampled_from(["f", "g"])), (inner,))
+
+
+@st.composite
+def _leaf_goal(draw):
+    variables = [Var("X"), Var("Y")]
+    return mk("p", draw(_arg(variables)), draw(_arg(variables)))
+
+
+@st.composite
+def _update_head(draw):
+    variables = [Var("A"), Var("B")]
+    kind = draw(st.sampled_from(["ground", "var", "struct"]))
+    if kind == "ground":
+        first = draw(st.one_of(st.sampled_from(_CONSTS),
+                               st.sampled_from(_CONSTS).map(lambda c: mk("f", c))))
+        second = draw(st.sampled_from(_CONSTS))
+    else:
+        first = draw(_arg(variables, kind))
+        second = draw(_arg(variables))
+    return mk("p", first, second)
+
+
+# One predicate, leaves registered as plain, abstract(0) and abstract(1) patterns.
+_LEAF_DECLS = [PredicateDecl("p", 2, dynamic=True, incremental=True, idg_abstraction=k)
+               for k in (None, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_leaf_goal(), st.sampled_from(_LEAF_DECLS)), max_size=12),
+       _update_head())
+def test_leaves_matching_equals_brute_force_scan(goals, head):
+    idg = Idg()
+    for goal, decl in goals:
+        idg.register_dynamic_leaf(goal, decl)
+    every_leaf = sorted(idg.leaves.get(("p", 2), {}).values(), key=lambda l: l.serial)
+    expected = [leaf for leaf in every_leaf if unify(leaf.pattern, head) is not None]
+    assert idg.leaves_matching(("p", 2), head) == expected
+
+
+def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatch):
+    """Guard on criterion 8's graph without abstract(0): an update must not
+    fall back to testing every leaf or re-keying every stored clause."""
+    facts = bench.gen_graph(bench.GraphSpec(5000, 2500, seed=8))
+    engine = Engine()
+    engine.consult_text(programs.reach_program(True, False) + facts)
+    list(engine.query("reach(X,Y)"))
+    assert engine.idg.stats()["leaves"] > 100
+    source = parse_clause(facts.splitlines()[0]).head.args[0].value
+    fresh = parse_clause(f"edge({source},0).")
+
+    leaf_tests = []
+    original_unify_in = incrtab.idg.unify_in
+
+    def counting_unify_in(t1, t2, env):
+        leaf_tests.append(t1)
+        return original_unify_in(t1, t2, env)
+
+    monkeypatch.setattr(incrtab.idg, "unify_in", counting_unify_in)
+    engine.store.assert_clause(fresh)
+    assert 1 <= len(leaf_tests) <= 2
+    assert engine.last_invalid_list
+
+    pred = ("edge", 2)
+    bucket_size = len(engine.store.dynamic_index[pred][arg1_key(fresh.head)])
+    assert bucket_size >= 2
+    variant_keys = []
+    original_variant_key = incrtab.program._clause_variant_key
+
+    def counting_variant_key(clause):
+        variant_keys.append(clause)
+        return original_variant_key(clause)
+
+    monkeypatch.setattr(incrtab.program, "_clause_variant_key", counting_variant_key)
+    stored = len(engine.store.dynamic_clauses[pred])
+    token = engine.store.retract_clause(parse_clause(f"edge({source},0)."))
+    assert token.clause is fresh
+    assert len(variant_keys) <= bucket_size + 1  # the bucket and the target
+    assert len(engine.store.dynamic_clauses[pred]) == stored - 1

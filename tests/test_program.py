@@ -1,9 +1,18 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incrtab.errors import ExistenceError, ParseError, PermissionViolation
 from incrtab.parser import parse_clause, parse_program
-from incrtab.program import Clause, Literal, POS, PredicateDecl, ProgramStore
-from incrtab.terms import Const, Var, canonical_key, mk, unify
+from incrtab.program import (
+    Clause,
+    Literal,
+    POS,
+    PredicateDecl,
+    ProgramStore,
+    _clause_variant_key,
+)
+from incrtab.terms import Const, Var, arg1_key, canonical_key, mk, unify
 
 
 def make_store():
@@ -139,6 +148,84 @@ def test_clause_order_stable_across_interleaved_updates():
     values = [clause.head.args[0].value
               for clause in store._dynamic_candidates(("p", 1), goal)]
     assert values == [1, 3, 4]
+
+
+def test_reasserted_clause_object_is_stored_twice():
+    store = ProgramStore()
+    store.declare(PredicateDecl("p", 2, dynamic=True, incremental=True))
+    clause = parse_clause("p(a,1).")
+    store.assert_clause(clause)
+    store.assert_clause(clause)
+    pred = ("p", 2)
+    assert store._dynamic_candidates(pred, mk("p", "a", Var("Y"))) == [clause, clause]
+    assert store._dynamic_candidates(pred, mk("p", Var("X"), Var("Y"))) == [clause, clause]
+    store.retract_clause(parse_clause("p(a,1)."))
+    assert list(store.dynamic_clauses[pred].values()) == [clause]
+    assert list(store.dynamic_index[pred].values()) == [list(store.dynamic_clauses[pred])]
+
+
+def test_keyed_and_open_goals_list_clauses_in_assert_order():
+    store = ProgramStore()
+    store.declare(PredicateDecl("p", 2, dynamic=True, incremental=True))
+    first_parsed = parse_clause("p(a,1).")
+    second_parsed = parse_clause("p(a,2).")
+    store.assert_clause(second_parsed)
+    store.assert_clause(first_parsed)
+    for goal in (mk("p", "a", Var("Y")), mk("p", Var("X"), Var("Y"))):
+        values = [c.head.args[1].value
+                  for c in store._dynamic_candidates(("p", 2), goal)]
+        assert values == [2, 1]
+
+
+def test_retract_takes_first_variant_in_assert_order():
+    store = ProgramStore()
+    store.declare(PredicateDecl("p", 2, dynamic=True, incremental=True))
+    parsed_first = parse_clause("p(X,b).")
+    parsed_second = parse_clause("p(Z,b).")
+    store.assert_clause(parsed_second)
+    store.assert_clause(parsed_first)
+    token = store.retract_clause(parse_clause("p(Y,b)."))
+    assert token.clause is parsed_second
+    assert list(store.dynamic_clauses[("p", 2)].values()) == [parsed_first]
+
+
+_CLAUSE_TEXTS = st.builds(
+    "p({},{}){}.".format,
+    st.sampled_from(["a", "1", "'1'", "f(X)", "f(a)", "g(X)", "X", "Y"]),
+    st.sampled_from(["b", "1", "X", "Y"]),
+    st.sampled_from(["", " :- q(X)"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["assert", "retract"]), _CLAUSE_TEXTS),
+                max_size=20))
+@example([("assert", "p(X,b)."), ("assert", "p(X,b)."), ("retract", "p(Y,b).")])
+def test_retract_matches_brute_force_first_variant(ops):
+    store = ProgramStore()
+    store.declare(PredicateDecl("p", 2, dynamic=True, incremental=True))
+    pred = ("p", 2)
+    model = []   # stored clauses in assert order
+    for op, text in ops:
+        clause = parse_clause(text)
+        if op == "assert":
+            store.assert_clause(clause)
+            model.append(clause)
+            continue
+        target = _clause_variant_key(clause)
+        first = next((i for i, c in enumerate(model)
+                      if _clause_variant_key(c) == target), None)
+        token = store.retract_clause(clause)
+        if first is None:
+            assert token.clause is None
+        else:
+            assert token.clause is model.pop(first)
+        stored = store.dynamic_clauses[pred]
+        assert list(stored.values()) == model
+        for key, seqs in store.dynamic_index[pred].items():
+            assert seqs == sorted(seqs)
+            assert all(arg1_key(stored[seq].head) == key for seq in seqs)
+        assert sum(map(len, store.dynamic_index[pred].values())) == len(model)
 
 
 def test_update_tokens_reference_dynamic_incremental():
