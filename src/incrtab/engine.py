@@ -22,7 +22,6 @@ from typing import Optional
 
 from . import cursors
 from .errors import (
-    EngineError,
     EvaluationTimeout,
     ExistenceError,
     InstantiationError,
@@ -370,23 +369,7 @@ class Engine:
 
     def solve(self, goal: Term) -> cursors.Cursor:
         """Evaluate goal to completion and open a cursor on its table."""
-        self.stats.queries += 1
-        table = self.solve_table(goal)
-        return cursors.open_cursor(table)
-
-    def solve_table(self, goal: Term) -> Table:
-        if self.current_eval is not None:
-            raise InternalStateError("solve re-entered during evaluation")
-        pred = functor_of(goal)
-        decl = self.store.decl_of(pred)
-        if decl is None:
-            raise ExistenceError(f"undeclared predicate {pred[0]}/{pred[1]}")
-        if not decl.tabled or (
-            decl.subgoal_abstraction is not None
-            and needs_abstraction(goal, decl.subgoal_abstraction)
-        ):
-            goal, decl = self._wrap_driver([[Literal(POS, goal)]], term_vars(goal))
-        return self._ensure_valid_table(goal, decl)
+        return self.solve_goal([[Literal(POS, goal)]], term_vars(goal))
 
     def solve_goal(self, bodies: list, out_vars: list) -> cursors.Cursor:
         """Evaluate a parsed query (alternative literal lists over shared
@@ -453,11 +436,8 @@ class Engine:
                 return True
             if decl.tabled:
                 continue  # tabled non-incremental boundary
-            for clause in self.store.static_clauses.get(pred, []):
-                for lit in clause.body:
-                    if lit.atom is not None:
-                        work.append(functor_of(lit.atom))
-            for clause in self.store.dynamic_clauses.get(pred, {}).values():
+            clauses = self.store.dynamic if decl.dynamic else self.store.static
+            for clause in clauses[pred].items.values():
                 for lit in clause.body:
                     if lit.atom is not None:
                         work.append(functor_of(lit.atom))
@@ -466,19 +446,10 @@ class Engine:
     def _ensure_valid_table(self, goal: Term, decl: PredicateDecl) -> Table:
         table = self.space.find_table(goal)
         if table is None or table.status == NEW:
-            evaluation = Evaluation(self)
-            self.current_eval = evaluation
-            try:
-                table, _ = self.space.find_or_create_table(goal, decl)
-                if decl.incremental:
-                    self.idg.node_for(table)
-                evaluation.seed(table)
-                evaluation.run()
-            except EngineError:
-                self._unwind(evaluation)
-                raise
-            finally:
-                self.current_eval = None
+            table, _ = self.space.find_or_create_table(goal, decl)
+            if decl.incremental:
+                self.idg.node_for(table)
+            self._evaluate(Evaluation.seed, table)
             return table
         if table.status == COMPLETED:
             node = table.idg_node
@@ -525,19 +496,27 @@ class Engine:
         if node.falsecount == 0:
             node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
             return ReevalOutcome(False, node.nbr_of_answers, node.nbr_of_answers)
+        self._evaluate(self._begin_reeval, table)
+        return self._reeval_outcomes.pop(table.serial)
+
+    def _evaluate(self, start, table: Table) -> None:
+        """Run one evaluation begun by start(evaluation, table).  On any
+        exception, KeyboardInterrupt and RecursionError included, the tables
+        it left incomplete are dropped before the exception propagates;
+        leaves it detached are dropped either way."""
         if self.current_eval is not None:
-            raise InternalStateError("top-level reeval during evaluation")
+            raise InternalStateError("evaluation re-entered")
         evaluation = Evaluation(self)
         self.current_eval = evaluation
         try:
-            self._begin_reeval(evaluation, table)
+            start(evaluation, table)
             evaluation.run()
-        except EngineError:
+        except BaseException:
             self._unwind(evaluation)
             raise
         finally:
             self.current_eval = None
-        return self._reeval_outcomes.pop(table.serial)
+            self.idg.drop_detached_leaves()
 
     def _begin_reeval(self, evaluation: Evaluation, table: Table) -> None:
         """Enlist a completed, invalid table for re-derivation."""
@@ -548,9 +527,7 @@ class Engine:
         node.previous_count = table.live_count()
         self.space.begin_reeval_marks(table)
         node.new_answer = False
-        for child in list(node.dependent_edges):
-            child.affected_edges.pop(node, None)
-        node.dependent_edges.clear()
+        self.idg.clear_dependencies(node)
         table.in_reeval = True
         table.cut_hit = False
         evaluation.seed(table)
@@ -585,6 +562,7 @@ class Engine:
         if node is not None:
             self.idg.invalidate_from([node])
         self._drop_table(table)
+        self.idg.drop_detached_leaves()
 
     def _drop_table(self, table: Table) -> None:
         """Forget a table, its IDG node and any subgoal alias to it."""
@@ -719,11 +697,9 @@ class Engine:
 
     def _register_leaf(self, owner: Table, atom: Term, env: dict,
                        decl: PredicateDecl) -> None:
-        if not decl.incremental:
-            return
-        leaf = self.idg.register_dynamic_leaf(atom, decl, env)
         node = owner.idg_node
-        if node is not None:
+        if decl.incremental and node is not None:
+            leaf = self.idg.register_dynamic_leaf(atom, decl, env)
             self.idg.register_call_edge(leaf, node)
 
     def _provider_table(self, evaluation: Evaluation, owner: Table,

@@ -2,10 +2,11 @@
 leaf patterns for dynamic incremental calls, falsecount invalidation,
 validity propagation and dependency collection for lazy recomputation.
 
-Leaf patterns are indexed on the key of their first argument
-(`terms.arg1_key`), so an update tests only the leaves whose first argument
-can unify with that of the updated clause head: those with the same key and
-those with a variable first argument.
+Each predicate's leaf patterns live in one `terms.Arg1Index`, so an update
+tests only the leaves whose first argument can unify with that of the
+updated clause head: those with the same key and those with a variable
+first argument.  A leaf that loses its last affected edge is dropped when
+the evaluation that detached it finishes, unless a call re-attached it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Optional
 
 from .errors import InternalStateError, PermissionViolation
 from .terms import (
+    Arg1Index,
     Term,
     abstract_depth,
     arg1_key,
@@ -65,12 +67,13 @@ class IdgNode:
 class DynamicLeaf:
     """Leaf pattern for a dynamic incremental call (possibly depth-abstracted)."""
 
-    __slots__ = ("serial", "pattern", "pred", "affected_edges")
+    __slots__ = ("serial", "pattern", "pred", "key", "affected_edges")
 
-    def __init__(self, pattern: Term, pred: tuple):
+    def __init__(self, pattern: Term, pred: tuple, key):
         self.serial = next(_node_serial)
         self.pattern = pattern
         self.pred = pred
+        self.key = key     # canonical key of the pattern in Idg.leaves
         self.affected_edges: dict = {}
 
     def __repr__(self):
@@ -81,8 +84,8 @@ class Idg:
     def __init__(self):
         self.nodes: dict = {}     # table serial -> IdgNode
         self.leaves: dict = {}    # pred -> {pattern canonical key -> DynamicLeaf}
-        # pred -> {arg1 key of the pattern (None: variable) -> leaves in serial order}
-        self.leaf_index: dict = {}
+        self.leaf_index: dict = {}  # pred -> Arg1Index of its leaves
+        self._detached: dict = {}   # leaves that lost their last affected edge
 
     # -- construction ----------------------------------------------------
 
@@ -113,33 +116,44 @@ class Idg:
         if leaf is None:
             if pattern is None:
                 pattern = resolve(goal, env) if env else goal
-            leaf = DynamicLeaf(pattern, pred)
+            leaf = DynamicLeaf(pattern, pred, key)
             bucket[key] = leaf
-            index = self.leaf_index.setdefault(pred, {})
-            index.setdefault(arg1_key(pattern), []).append(leaf)
+            self.leaf_index.setdefault(pred, Arg1Index()).add(pattern, leaf)
         return leaf
 
     def leaves_matching(self, pred: tuple, head: Term) -> list:
         """Leaf patterns of pred unifying with an updated clause head, in
         serial order."""
         index = self.leaf_index.get(pred)
-        if not index:
+        if index is None:
             return []
-        key = arg1_key(head)
-        if key is None:
-            candidates = self.leaves[pred].values()
-        else:
-            keyed = index.get(key, [])
-            open_first = index.get(None, [])
-            candidates = (sorted(keyed + open_first, key=lambda leaf: leaf.serial)
-                          if keyed and open_first else keyed or open_first)
-        return [leaf for leaf in candidates if unify_in(leaf.pattern, head, {})]
+        return [leaf for _, leaf in index.matching(head)
+                if unify_in(leaf.pattern, head, {})]
+
+    def clear_dependencies(self, node: IdgNode) -> None:
+        """Remove node's dependent edges, noting the leaves left without an
+        affected edge for `drop_detached_leaves`."""
+        for child in node.dependent_edges:
+            child.affected_edges.pop(node, None)
+            if type(child) is DynamicLeaf and not child.affected_edges:
+                self._detached[child] = None
+        node.dependent_edges.clear()
+
+    def drop_detached_leaves(self) -> None:
+        """Forget the noted leaves that still have no affected edge."""
+        for leaf in self._detached:
+            if leaf.affected_edges:
+                continue  # a later call re-attached it
+            del self.leaves[leaf.pred][leaf.key]
+            index = self.leaf_index[leaf.pred]
+            key = arg1_key(leaf.pattern)
+            index.remove(key, [item for _, item in index.buckets[key]].index(leaf))
+        self._detached.clear()
 
     def drop_node(self, node: IdgNode) -> None:
         for parent in node.affected_edges:
             parent.dependent_edges.pop(node, None)
-        for child in node.dependent_edges:
-            child.affected_edges.pop(node, None)
+        self.clear_dependencies(node)
         self.nodes.pop(node.table.serial, None)
         node.table.idg_node = None
 

@@ -1,20 +1,20 @@
 """Clause database: predicate declarations, static rules, dynamic incremental
 facts/rules, and the assert/retract entry points that feed invalidation.
 
-Static and dynamic clauses are numbered by the store (source order and
-assert order) and indexed on the key of their first argument
-(`terms.arg1_key`).  Variants share that key, so `retract_clause` looks for
-the first stored variant in one index bucket only.
+Each predicate's clauses live in one `terms.Arg1Index`: static clauses in
+source order, dynamic clauses in assert order, filed under the key of their
+first argument.  Variants share that key, so `retract_clause` looks for the
+first stored variant in one index bucket only.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ExistenceError, PermissionViolation
 from .terms import (
+    Arg1Index,
     Term,
     arg1_key,
     canonical_key,
@@ -108,17 +108,14 @@ class ProgramStore:
 
     Static clauses keep source order, dynamic clauses assert order; both
     are indexed on the key of their first argument.  A clause asserted twice
-    is stored twice, under two sequence numbers.
+    is stored twice.
     """
 
     def __init__(self):
-        self.decls: dict = {}                # (name, arity) -> PredicateDecl
-        self.static_clauses: dict = {}       # (name, arity) -> list[Clause]
-        self.static_index: dict = {}         # (name, arity) -> {arg1 key -> [(seq, Clause)]}
-        self.dynamic_clauses: dict = {}      # (name, arity) -> dict[seq, Clause]
-        self.dynamic_index: dict = {}        # (name, arity) -> {arg1 key -> list[seq]}
-        self._dynamic_seq = itertools.count(1)  # assert order
-        self.on_update = None                # hook installed by the engine
+        self.decls: dict = {}     # (name, arity) -> PredicateDecl
+        self.static: dict = {}    # (name, arity) -> Arg1Index of Clause
+        self.dynamic: dict = {}   # (name, arity) -> Arg1Index of Clause
+        self.on_update = None     # hook installed by the engine
 
     # -- declarations --------------------------------------------------
 
@@ -157,17 +154,8 @@ class ProgramStore:
                 )
             # Redeclaration with identical attributes is a no-op.
             return
-        if decl.tabled and decl.incremental:
-            if key in self.dynamic_clauses and self.dynamic_clauses[key]:
-                raise PermissionViolation(
-                    f"{decl.indicator}: incremental tables require static code"
-                )
         self.decls[key] = decl
-        if decl.dynamic:
-            self.dynamic_clauses.setdefault(key, {})
-            self.dynamic_index.setdefault(key, {})
-        else:
-            self.static_clauses.setdefault(key, [])
+        (self.dynamic if decl.dynamic else self.static)[key] = Arg1Index()
 
     def ensure_declared(self, pred: tuple, *, dynamic=False, tabled=False, incremental=False) -> PredicateDecl:
         decl = self.decls.get(pred)
@@ -217,37 +205,14 @@ class ProgramStore:
                 f"{decl.indicator} is dynamic; use assert_clause"
             )
         self._validate_body(decl, clause)
-        bucket = self.static_clauses.setdefault(pred, [])
-        seq = len(bucket)
-        bucket.append(clause)
-        index = self.static_index.setdefault(pred, {})
-        index.setdefault(arg1_key(clause.head), []).append((seq, clause))
+        self.static[pred].add(clause.head, clause)
 
     def static_candidates(self, pred: tuple, goal: Term,
                           env: Optional[dict] = None) -> list:
         """Static clauses possibly matching goal, in source order."""
-        index = self.static_index.get(pred)
-        if not index:
-            return self.static_clauses.get(pred, [])
-        goal_key = arg1_key(goal, env)
-        if goal_key is None:
-            return self.static_clauses.get(pred, [])
-        keyed = index.get(goal_key, [])
-        open_headed = index.get(None, [])
-        if not keyed:
-            return [c for _, c in open_headed]
-        if not open_headed:
-            return [c for _, c in keyed]
-        return [c for _, c in sorted(keyed + open_headed)]
+        return [c for _, c in self.static[pred].matching(goal, env)]
 
     # -- dynamic updates -----------------------------------------------
-
-    def _store_dynamic(self, clause: Clause, decl: PredicateDecl) -> None:
-        pred = (decl.name, decl.arity)
-        seq = next(self._dynamic_seq)
-        self.dynamic_clauses.setdefault(pred, {})[seq] = clause
-        key = arg1_key(clause.head)
-        self.dynamic_index.setdefault(pred, {}).setdefault(key, []).append(seq)
 
     def store_dynamic_clause(self, clause: Clause) -> PredicateDecl:
         """Consult-time entry point: store without producing an update token."""
@@ -256,7 +221,7 @@ class ProgramStore:
         if not decl.dynamic:
             raise PermissionViolation(f"{decl.indicator} is not dynamic")
         self._validate_body(decl, clause)
-        self._store_dynamic(clause, decl)
+        self.dynamic[pred].add(clause.head, clause)
         return decl
 
     def assert_clause(self, clause: Clause) -> UpdateToken:
@@ -271,7 +236,7 @@ class ProgramStore:
         # Invalidate before storing, so that a failed update changes nothing.
         if self.on_update is not None:
             self.on_update(token)
-        self._store_dynamic(clause, decl)
+        self.dynamic[pred].add(clause.head, clause)
         return token
 
     def retract_clause(self, clause: Clause) -> UpdateToken:
@@ -283,39 +248,26 @@ class ProgramStore:
             )
         # Variants share their first-argument key: the first stored variant
         # is the first one in that key's bucket.
-        store = self.dynamic_clauses.get(pred, {})
-        bucket = self.dynamic_index.get(pred, {}).get(arg1_key(clause.head), ())
+        index = self.dynamic[pred]
+        key = arg1_key(clause.head)
         target_key = _clause_variant_key(clause)
-        for pos, seq in enumerate(bucket):
-            if _clause_variant_key(store[seq]) == target_key:
+        for pos, (_, stored) in enumerate(index.buckets.get(key, ())):
+            if _clause_variant_key(stored) == target_key:
                 break
         else:
             return UpdateToken("retract", None, decl)
-        token = UpdateToken("retract", store[seq], decl)
+        token = UpdateToken("retract", stored, decl)
         if self.on_update is not None:
             self.on_update(token)
-        del store[seq]
-        del bucket[pos]
+        index.remove(key, pos)
         return token
 
     # -- resolution feed -------------------------------------------------
 
     def _dynamic_candidates(self, pred: tuple, goal: Term,
                             env: Optional[dict] = None) -> list:
-        store = self.dynamic_clauses.get(pred, {})
-        index = self.dynamic_index.get(pred, {})
-        goal_key = arg1_key(goal, env)
-        if goal_key is None:
-            return list(store.values())  # seq order: seqs only grow
-        keyed = index.get(goal_key, [])
-        open_headed = index.get(None, [])
-        if not open_headed:
-            seqs = keyed  # buckets are appended in seq order
-        elif not keyed:
-            seqs = open_headed
-        else:
-            seqs = sorted(keyed + open_headed)
-        return [store[seq] for seq in seqs]
+        """Dynamic clauses possibly matching goal, in assert order."""
+        return [c for _, c in self.dynamic[pred].matching(goal, env)]
 
 
 def literal_key(lit: Literal, numbering: dict) -> tuple:

@@ -127,6 +127,45 @@ def arg1_key(t: Term, env: Optional[Subst] = None):
     return None
 
 
+class Arg1Index:
+    """Items in insertion order, each filed under the `arg1_key` of the atom
+    it was added with; buckets hold (seq, item) pairs in insertion order."""
+
+    __slots__ = ("items", "buckets", "_seq")
+
+    def __init__(self):
+        self.items: dict = {}    # seq -> item
+        self.buckets: dict = {}  # arg1 key (None: unbound) -> [(seq, item)]
+        self._seq = 0
+
+    def add(self, atom: Term, item) -> None:
+        self._seq = seq = self._seq + 1
+        self.items[seq] = item
+        self.buckets.setdefault(arg1_key(atom), []).append((seq, item))
+
+    def matching(self, goal: Term, env: Optional[Subst] = None):
+        """(seq, item) pairs whose atom may unify with goal, in insertion
+        order: the goal's keyed bucket merged with the unbound bucket, or
+        every pair when the goal's first argument is unbound.  The result
+        may be a bucket itself, so callers only read it."""
+        key = arg1_key(goal, env)
+        if key is None:
+            return self.items.items()
+        keyed = self.buckets.get(key)
+        open_first = self.buckets.get(None)
+        if not open_first:
+            return keyed or ()
+        if not keyed:
+            return open_first
+        return sorted(keyed + open_first)
+
+    def remove(self, key, pos: int) -> None:
+        """Remove the entry at position pos of the bucket filed under key."""
+        bucket = self.buckets[key]
+        seq, _ = bucket.pop(pos)
+        del self.items[seq]
+
+
 def resolve(t: Term, env: Subst) -> Term:
     """Fully substitute bindings from env into t."""
     t = walk(t, env)

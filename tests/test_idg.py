@@ -120,6 +120,15 @@ def test_leaf_per_binding_without_abstraction():
     assert engine.idg.stats()["leaves"] > 1
 
 
+def test_non_incremental_table_registers_no_leaf():
+    """Only a table with an IDG node can be invalidated through a leaf."""
+    engine = Engine()
+    engine.consult_text(":- table t/1.\n:- dynamic p/1 as incremental.\n"
+                        "t(X) :- p(X).\np(1).\n")
+    assert len(list(engine.query("t(X)"))) == 1
+    assert engine.idg.stats()["leaves"] == 0
+
+
 def test_propagate_validity_underflow_detected():
     idg = Idg()
     t1 = Table(mk("a", Var("X")), PredicateDecl("a", 1, tabled=True, incremental=True))
@@ -268,7 +277,7 @@ def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatc
     assert engine.last_invalid_list
 
     pred = ("edge", 2)
-    bucket_size = len(engine.store.dynamic_index[pred][arg1_key(fresh.head)])
+    bucket_size = len(engine.store.dynamic[pred].buckets[arg1_key(fresh.head)])
     assert bucket_size >= 2
     variant_keys = []
     original_variant_key = incrtab.program._clause_variant_key
@@ -278,8 +287,41 @@ def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatc
         return original_variant_key(clause)
 
     monkeypatch.setattr(incrtab.program, "_clause_variant_key", counting_variant_key)
-    stored = len(engine.store.dynamic_clauses[pred])
+    stored = len(engine.store.dynamic[pred].items)
     token = engine.store.retract_clause(parse_clause(f"edge({source},0)."))
     assert token.clause is fresh
     assert len(variant_keys) <= bucket_size + 1  # the bucket and the target
-    assert len(engine.store.dynamic_clauses[pred]) == stored - 1
+    assert len(engine.store.dynamic[pred].items) == stored - 1
+
+
+def test_leaves_without_affected_edges_are_dropped():
+    """Reach without abstract(0): rounds of asserts, requery, retracts and
+    requery leave exactly the leaves that some table still calls."""
+    engine = Engine()
+    engine.consult_text(programs.reach_program(True, False)
+                        + bench.gen_graph(bench.GraphSpec(1000, 500, seed=1)))
+    list(engine.query("reach(X,Y)"))
+    pred = ("edge", 2)
+
+    def leaves():
+        every_leaf = list(engine.idg.leaves[pred].values())
+        assert engine.idg.stats()["leaves"] == len(every_leaf)
+        assert list(engine.idg.leaf_index[pred].items.values()) == every_leaf
+        assert all(leaf.affected_edges for leaf in every_leaf)
+        return every_leaf
+
+    base = leaves()
+    rng = bench.SplitMix64(7)
+    for _ in range(5):
+        facts = [f"edge({rng.below(1000) + 1},{rng.below(1000) + 1})." for _ in range(50)]
+        for text in facts:
+            engine.store.assert_clause(parse_clause(text))
+        list(engine.query("reach(X,Y)"))
+        leaves()
+        for text in facts:
+            engine.store.retract_clause(parse_clause(text))
+        list(engine.query("reach(X,Y)"))
+        assert leaves() == base  # same leaf objects, serials and order
+    head = mk("edge", base[0].pattern.args[0], Var("Y"))
+    assert engine.idg.leaves_matching(pred, head) == [
+        leaf for leaf in base if unify(leaf.pattern, head) is not None]

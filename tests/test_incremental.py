@@ -4,9 +4,10 @@ informational cases, and abolish."""
 import pytest
 
 from incrtab.engine import Engine
-from incrtab.errors import ExistenceError
+from incrtab.errors import ExistenceError, InternalStateError
 from incrtab.idg import Idg
 from incrtab.parser import parse_clause
+from incrtab.program import Clause
 from incrtab.terms import Const, Var, format_term, mk
 
 
@@ -329,7 +330,7 @@ def test_failed_assert_stores_nothing(monkeypatch):
         patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
         with pytest.raises(RuntimeError):
             engine.store.assert_clause(parse_clause("lst(a)."))
-    assert len(engine.store.dynamic_clauses[("lst", 1)]) == 1
+    assert len(engine.store.dynamic[("lst", 1)].items) == 1
     assert answers_of(engine.query("len(X,N)")) == before
     engine.store.assert_clause(parse_clause("lst(a)."))
     assert answers_of(engine.query("len(X,N)")) == [
@@ -345,7 +346,71 @@ def test_failed_retract_keeps_clause(monkeypatch):
         patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
         with pytest.raises(RuntimeError):
             engine.store.retract_clause(parse_clause("lst(a)."))
-    assert len(engine.store.dynamic_clauses[("lst", 1)]) == 2
+    assert len(engine.store.dynamic[("lst", 1)].items) == 2
     assert answers_of(engine.query("len(X,N)")) == before
     engine.store.retract_clause(parse_clause("lst(a)."))
     assert answers_of(engine.query("len(X,N)")) == [(("nil", 1), "true")]
+
+
+def test_recursion_error_leaves_no_incomplete_table():
+    engine = Engine()
+    engine.consult_text(":- table len/2.\nlen(X,N) :- lst(X), N = 1.\n")
+    deep = Const("nil")
+    for _ in range(5000):
+        deep = mk("s", deep)
+    engine.store.load_clause(Clause(mk("lst", deep), []))
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(answers_of(engine.query("len(X,N)")))
+        except RecursionError:
+            outcomes.append(RecursionError)
+        assert all(row["status"] != "incomplete" for row in engine.space.snapshot())
+    assert outcomes[0] == outcomes[1]
+
+
+def test_interrupt_during_lazy_reeval_leaves_engine_usable(monkeypatch):
+    engine = Engine()
+    engine.consult_text(REACH)
+    list(engine.query("reach(X,Y)"))
+    engine.store.assert_clause(parse_clause("edge(3,4)."))
+    steps = []
+    original_step = Engine._step
+
+    def interrupting_step(self, evaluation, cont):
+        steps.append(cont)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+        return original_step(self, evaluation, cont)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_step", interrupting_step)
+        with pytest.raises(KeyboardInterrupt):
+            list(engine.query("reach(X,Y)"))
+    assert engine.stats.reevals == 1
+    assert all(row["status"] != "incomplete" for row in engine.space.snapshot())
+    fresh = Engine()
+    fresh.consult_text(REACH + "edge(3,4).\n")
+    for goal in ("reach(X,Y)", "reach(1,Y)", "reach(X,Y)"):
+        assert answers_of(engine.query(goal)) == answers_of(fresh.query(goal))
+
+
+def test_query_during_evaluation_is_refused(monkeypatch):
+    engine = Engine()
+    engine.consult_text(REACH)
+    refused = []
+    original_step = Engine._step
+
+    def reentering_step(self, evaluation, cont):
+        if not refused:
+            with pytest.raises(InternalStateError):
+                list(self.query("reach(2,Y)"))
+            refused.append(evaluation)
+        assert self.current_eval is evaluation
+        return original_step(self, evaluation, cont)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_step", reentering_step)
+        assert answers_of(engine.query("reach(X,Y)")) == answers_of_closure(
+            {(1, 2), (2, 3)})
+    assert refused

@@ -1,0 +1,24 @@
+"""The benchmark tracer (`perfbench/tracing.py`) replaces engine functions
+by name; a rename in `src/` must fail here, not only in the slower
+`python -m pytest perfbench`."""
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_is_defined_on_its_owner():
+    tracing = load_tracing()
+    targets = tracing._MODULE_TARGETS + tracing._CLASS_TARGETS
+    assert targets
+    missing = [(owner.__name__, attr) for owner, attr, *_ in targets
+               if attr not in owner.__dict__]
+    assert missing == []

@@ -100,7 +100,7 @@ def test_assert_then_retract_roundtrip():
     store.assert_clause(parse_clause("edge(1,2)."))
     token = store.retract_clause(parse_clause("edge(1,2)."))
     assert token.clause is not None
-    assert not store.dynamic_clauses[("edge", 2)]
+    assert not store.dynamic[("edge", 2)].items
 
 
 def test_retract_absent_fact_is_noop_token():
@@ -114,7 +114,7 @@ def test_retract_removes_first_variant_only():
     store.assert_clause(parse_clause("edge(1,2)."))
     store.assert_clause(parse_clause("edge(1,2)."))
     store.retract_clause(parse_clause("edge(1,2)."))
-    assert len(store.dynamic_clauses[("edge", 2)]) == 1
+    assert len(store.dynamic[("edge", 2)].items) == 1
 
 
 def test_matching_clauses_unknown_predicate():
@@ -160,8 +160,9 @@ def test_reasserted_clause_object_is_stored_twice():
     assert store._dynamic_candidates(pred, mk("p", "a", Var("Y"))) == [clause, clause]
     assert store._dynamic_candidates(pred, mk("p", Var("X"), Var("Y"))) == [clause, clause]
     store.retract_clause(parse_clause("p(a,1)."))
-    assert list(store.dynamic_clauses[pred].values()) == [clause]
-    assert list(store.dynamic_index[pred].values()) == [list(store.dynamic_clauses[pred])]
+    index = store.dynamic[pred]
+    assert list(index.items.values()) == [clause]
+    assert list(index.buckets.values()) == [list(index.items.items())]
 
 
 def test_keyed_and_open_goals_list_clauses_in_assert_order():
@@ -186,7 +187,7 @@ def test_retract_takes_first_variant_in_assert_order():
     store.assert_clause(parsed_first)
     token = store.retract_clause(parse_clause("p(Y,b)."))
     assert token.clause is parsed_second
-    assert list(store.dynamic_clauses[("p", 2)].values()) == [parsed_first]
+    assert list(store.dynamic[("p", 2)].items.values()) == [parsed_first]
 
 
 _CLAUSE_TEXTS = st.builds(
@@ -220,12 +221,39 @@ def test_retract_matches_brute_force_first_variant(ops):
             assert token.clause is None
         else:
             assert token.clause is model.pop(first)
-        stored = store.dynamic_clauses[pred]
-        assert list(stored.values()) == model
-        for key, seqs in store.dynamic_index[pred].items():
+        stored = store.dynamic[pred]
+        assert list(stored.items.values()) == model
+        for key, entries in stored.buckets.items():
+            seqs = [seq for seq, _ in entries]
             assert seqs == sorted(seqs)
-            assert all(arg1_key(stored[seq].head) == key for seq in seqs)
-        assert sum(map(len, store.dynamic_index[pred].values())) == len(model)
+            assert all(arg1_key(c.head) == key and stored.items[seq] is c
+                       for seq, c in entries)
+        assert sum(map(len, stored.buckets.values())) == len(model)
+
+    # The same heads loaded as static clauses: candidates are the clauses
+    # whose first-argument key is compatible, in source order.
+    static_store = ProgramStore()
+    static_store.declare(PredicateDecl("p", 2))
+    loaded = [parse_clause(text) for _, text in ops]
+    for clause in loaded:
+        static_store.load_clause(clause)
+    goals = [(c.head, None) for c in loaded] + [(mk("p", Var("X"), Var("Y")), None)]
+    bound = Var("X")
+    goals += [(mk("p", bound, Var("Y")), {bound: c.head.args[0]}) for c in loaded[:3]]
+    for goal, env in goals:
+        key = arg1_key(goal, env)
+
+        def brute(clauses):
+            return [c for c in clauses
+                    if key is None or arg1_key(c.head) in (key, None)]
+
+        candidates = static_store.static_candidates(pred, goal, env)
+        assert candidates == brute(loaded)
+        resolved = goal.args[0] if env is None else env[bound]
+        assert all(c in candidates for c in loaded
+                   if unify(mk("p", resolved, Var("Y")), mk("p", c.head.args[0], Var("Z")))
+                   is not None)
+        assert store._dynamic_candidates(pred, goal, env) == brute(model)
 
 
 def test_update_tokens_reference_dynamic_incremental():
