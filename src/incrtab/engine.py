@@ -70,7 +70,6 @@ from .terms import (
     format_term,
     functor_of,
     is_ground,
-    needs_abstraction,
     resolve,
     skolemize,
     term_vars,
@@ -382,7 +381,7 @@ class Engine:
             and (d := self.store.decl_of(functor_of(bodies[0][0].atom))) is not None
             and d.tabled
             and (d.subgoal_abstraction is None
-                 or not needs_abstraction(bodies[0][0].atom, d.subgoal_abstraction))
+                 or not abstract_depth(bodies[0][0].atom, d.subgoal_abstraction)[1])
             and list(term_vars(bodies[0][0].atom)) == list(out_vars)
         ):
             table = self._ensure_valid_table(bodies[0][0].atom, d)
@@ -444,9 +443,8 @@ class Engine:
         return False
 
     def _ensure_valid_table(self, goal: Term, decl: PredicateDecl) -> Table:
-        table = self.space.find_table(goal)
-        if table is None or table.status == NEW:
-            table, _ = self.space.find_or_create_table(goal, decl)
+        table, _ = self.space.find_or_create_table(goal, decl)
+        if table.status == NEW:
             if decl.incremental:
                 self.idg.node_for(table)
             self._evaluate(Evaluation.seed, table)
@@ -705,29 +703,20 @@ class Engine:
     def _provider_table(self, evaluation: Evaluation, owner: Table,
                         atom: Term, env: Optional[dict], decl: PredicateDecl) -> Table:
         key = canonical_key(atom, env)
-        table = self.space.tables.get(key)
+        table = self.space.tables.get(key) or self._abstract_alias.get(key)
         is_new = table is None
         if is_new:
-            if decl.subgoal_abstraction is not None and needs_abstraction(
-                    atom, decl.subgoal_abstraction, env):
+            goal = resolve(atom, env) if env else atom
+            binding = None
+            if decl.subgoal_abstraction is not None:
+                abstracted, binding = abstract_depth(goal, decl.subgoal_abstraction)
+            if binding:
                 # Deep subgoals fold into their depth-bounded abstraction;
                 # the raw key becomes an alias of the abstracted table.
-                table = self._abstract_alias.get(key)
-                if table is not None:
-                    is_new = False
-                else:
-                    goal = resolve(atom, env) if env else atom
-                    goal, _ = abstract_depth(goal, decl.subgoal_abstraction)
-                    abs_key = canonical_key(goal)
-                    table = self.space.tables.get(abs_key)
-                    is_new = table is None
-                    if is_new:
-                        table = Table(goal, decl)
-                        self.space.tables[abs_key] = table
-                    self._abstract_alias[key] = table
+                table, is_new = self.space.find_or_create_table(abstracted, decl)
+                self._abstract_alias[key] = table
             else:
-                table = Table(resolve(atom, env) if env else atom, decl)
-                self.space.tables[key] = table
+                table = self.space.add_table(key, goal, decl)
         if decl.incremental:
             node = self.idg.node_for(table)
             parent = owner.idg_node
@@ -813,10 +802,8 @@ class Engine:
     @staticmethod
     def _abstract_answer(terms: tuple, bound: int) -> tuple:
         fake = Struct("$ans", terms) if terms else Const("$ans")
-        if not needs_abstraction(fake, bound):
-            return terms, False
-        abstracted, _ = abstract_depth(fake, bound)
-        if isinstance(abstracted, Const):
+        abstracted, binding = abstract_depth(fake, bound)
+        if not binding:
             return terms, False
         return canonicalize_terms(abstracted.args), True
 

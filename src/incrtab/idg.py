@@ -11,7 +11,6 @@ the evaluation that detached it finishes, unless a call re-attached it.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from .errors import InternalStateError, PermissionViolation
@@ -29,8 +28,6 @@ from .terms import (
 COMPUTE_DEPENDENCIES_FIRST = "compute_dependencies_first"
 COMPUTE_DIRECTLY = "compute_directly"
 
-_node_serial = itertools.count(1)
-
 
 class IdgNode:
     """Node for an incremental tabled subgoal.
@@ -45,8 +42,8 @@ class IdgNode:
         "reeval_ready",
     )
 
-    def __init__(self, table):
-        self.serial = next(_node_serial)
+    def __init__(self, serial: int, table):
+        self.serial = serial
         self.table = table
         self.affected_edges: dict = {}     # nodes that depend on this one
         self.dependent_edges: dict = {}    # nodes/leaves this one depends on
@@ -69,8 +66,8 @@ class DynamicLeaf:
 
     __slots__ = ("serial", "pattern", "pred", "key", "affected_edges")
 
-    def __init__(self, pattern: Term, pred: tuple, key):
-        self.serial = next(_node_serial)
+    def __init__(self, serial: int, pattern: Term, pred: tuple, key):
+        self.serial = serial
         self.pattern = pattern
         self.pred = pred
         self.key = key     # canonical key of the pattern in Idg.leaves
@@ -86,13 +83,15 @@ class Idg:
         self.leaves: dict = {}    # pred -> {pattern canonical key -> DynamicLeaf}
         self.leaf_index: dict = {}  # pred -> Arg1Index of its leaves
         self._detached: dict = {}   # leaves that lost their last affected edge
+        self._serial = 0            # serial of the last node or leaf made
 
     # -- construction ----------------------------------------------------
 
     def node_for(self, table) -> IdgNode:
         node = self.nodes.get(table.serial)
         if node is None:
-            node = IdgNode(table)
+            self._serial += 1
+            node = IdgNode(self._serial, table)
             self.nodes[table.serial] = node
             table.idg_node = node
         return node
@@ -116,7 +115,8 @@ class Idg:
         if leaf is None:
             if pattern is None:
                 pattern = resolve(goal, env) if env else goal
-            leaf = DynamicLeaf(pattern, pred, key)
+            self._serial += 1
+            leaf = DynamicLeaf(self._serial, pattern, pred, key)
             bucket[key] = leaf
             self.leaf_index.setdefault(pred, Arg1Index()).add(pattern, leaf)
         return leaf

@@ -161,29 +161,39 @@ class Parser:
     # -- terms ----------------------------------------------------------
 
     def parse_term(self) -> Term:
-        tok = self.next()
-        if tok.kind == "INT":
-            return Const(int(tok.text))
-        if tok.kind == "VAR":
-            if tok.text == "_":
-                return Var("_")
-            var = self.varmap.get(tok.text)
-            if var is None:
-                var = self.varmap[tok.text] = Var(tok.text)
-            return var
-        if tok.kind == "ATOM":
-            if tok.text.startswith("$"):
-                raise ParseError(f"reserved atom {tok.text!r}", tok.line, tok.col)
-            if self.at("("):
-                self.next()
-                args = [self.parse_term()]
-                while self.at(","):
+        open_terms: list = []   # (functor, args so far) of unclosed compounds
+        while True:
+            tok = self.next()
+            if tok.kind == "INT":
+                term = Const(int(tok.text))
+            elif tok.kind == "VAR":
+                if tok.text == "_":
+                    term = Var("_")
+                else:
+                    term = self.varmap.get(tok.text)
+                    if term is None:
+                        term = self.varmap[tok.text] = Var(tok.text)
+            elif tok.kind == "ATOM":
+                if tok.text.startswith("$"):
+                    raise ParseError(f"reserved atom {tok.text!r}", tok.line, tok.col)
+                if self.at("("):
                     self.next()
-                    args.append(self.parse_term())
+                    open_terms.append((tok.text, []))
+                    continue
+                term = Const(tok.text)
+            else:
+                raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            while open_terms:
+                functor, args = open_terms[-1]
+                args.append(term)
+                if self.at(","):
+                    self.next()
+                    break
                 self.expect(")")
-                return Struct(tok.text, tuple(args))
-            return Const(tok.text)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+                open_terms.pop()
+                term = Struct(functor, tuple(args))
+            else:
+                return term
 
     # -- clause bodies ----------------------------------------------------
 

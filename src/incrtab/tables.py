@@ -5,7 +5,6 @@ from waited-on answers/tables to their dependent conditional answers.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional
 
 from .errors import InternalStateError
@@ -36,8 +35,6 @@ POS = "+"      # waits on a specific answer of a table
 NEG = "-"      # waits on the falsity of a (ground) atom against a table
 UNDEF = "u"    # permanently undefined (the `undefined' built-in)
 RESTRAINT = "r"  # permanently undefined restraint mark from answer abstraction
-
-_table_serial = itertools.count(1)
 
 
 class DelayLiteral:
@@ -134,8 +131,8 @@ class Table:
         "occp_num", "idg_node", "cursors", "in_reeval", "cut_hit",
     )
 
-    def __init__(self, subgoal: Term, decl):
-        self.serial = next(_table_serial)
+    def __init__(self, serial: int, subgoal: Term, decl):
+        self.serial = serial
         self.subgoal = subgoal
         self.subst_vars = term_vars(subgoal)
         self.decl = decl
@@ -205,6 +202,7 @@ class TableSpace:
         }
         self._event_queue: list = []
         self._processing = False
+        self._serial = 0              # serial of the last table added
 
     # -- lookup ----------------------------------------------------------
 
@@ -216,9 +214,13 @@ class TableSpace:
         table = self.tables.get(key)
         if table is not None:
             return table, False
-        table = Table(goal, decl)
-        self.tables[key] = table
-        return table, True
+        return self.add_table(key, goal, decl), True
+
+    def add_table(self, key, goal: Term, decl) -> Table:
+        """A new table for goal, filed under key, its canonical key."""
+        self._serial += 1
+        table = self.tables[key] = Table(self._serial, goal, decl)
+        return table
 
     def remove_table(self, table: Table) -> None:
         key = canonical_key(table.subgoal)

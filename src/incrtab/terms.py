@@ -7,7 +7,7 @@ apart by allocating fresh Var objects.
 
 from __future__ import annotations
 
-import itertools
+from operator import is_
 from typing import Optional, Union
 
 Value = Union[str, int]
@@ -25,6 +25,7 @@ class Var(Term):
     """A logic variable; equality and hashing are by object identity."""
 
     __slots__ = ("name",)
+    ground = False
 
     def __init__(self, name: str = "_"):
         self.name = name
@@ -37,6 +38,7 @@ class Const(Term):
     """An atomic constant: a symbol (arity 0) or an integer."""
 
     __slots__ = ("value",)
+    ground = True
 
     def __init__(self, value: Value):
         self.value = value
@@ -52,32 +54,35 @@ class Const(Term):
 
 
 class Struct(Term):
-    """A compound term: functor applied to one or more arguments."""
+    """A compound term: functor applied to one or more arguments.
 
-    __slots__ = ("functor", "args", "_hash", "_ground")
+    Equal terms have equal canonical keys and the same variables in
+    first-occurrence order."""
+
+    __slots__ = ("functor", "args", "ground")
 
     def __init__(self, functor: str, args: tuple):
         self.functor = functor
         self.args = args
-        self._hash: Optional[int] = None
-        self._ground: Optional[bool] = None
+        for a in args:
+            if not a.ground:
+                self.ground = False
+                break
+        else:
+            self.ground = True
 
     def __eq__(self, other: object) -> bool:
-        return (
-            self is other
-            or isinstance(other, Struct)
-            and self.functor == other.functor
-            and self.args == other.args
+        return self is other or (
+            isinstance(other, Struct)
+            and canonical_key(self) == canonical_key(other)
+            and term_vars(self) == term_vars(other)
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(("s", self.functor, self.args))
-        return h
+        return hash(canonical_key(self))
 
     def __repr__(self) -> str:
-        return f"Struct({self.functor}, {self.args!r})"
+        return f"Struct({format_term(self)})"
 
 
 Subst = dict  # Var -> Term
@@ -166,31 +171,58 @@ class Arg1Index:
         del self.items[seq]
 
 
+def _rebuild(t: Term, leaf, env: Optional[Subst] = None) -> Term:
+    """Copy of t with each variable v replaced by leaf(v), in left-to-right
+    order, each subterm first walked through env when one is given.
+    Unchanged subterms are shared, not copied."""
+    if env is not None:
+        t = walk(t, env)
+    if type(t) is Var:
+        return leaf(t)
+    if t.ground:
+        return t
+    stack = [(t, iter(t.args), [])]   # open compounds: (term, rest, new args)
+    while True:
+        s, rest, out = stack[-1]
+        for a in rest:
+            if env is not None:
+                a = walk(a, env)
+            if type(a) is Var:
+                out.append(leaf(a))
+            elif a.ground:
+                out.append(a)
+            else:
+                stack.append((a, iter(a.args), []))
+                break
+        else:
+            stack.pop()
+            if not all(map(is_, out, s.args)):
+                s = Struct(s.functor, tuple(out))
+            if not stack:
+                return s
+            stack[-1][2].append(s)
+
+
+def _fresh(make):
+    """A `_rebuild` leaf mapping each distinct variable to make(v, n), where
+    n numbers the distinct variables from 0 in first-occurrence order."""
+    mapping: dict = {}
+    return lambda v: mapping.get(v) or mapping.setdefault(v, make(v, len(mapping)))
+
+
 def resolve(t: Term, env: Subst) -> Term:
     """Fully substitute bindings from env into t."""
-    t = walk(t, env)
-    if type(t) is Struct:
-        if t._ground:
-            return t
-        args = tuple(resolve(a, env) for a in t.args)
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        out = Struct(t.functor, args)
-        if all(type(a) is Const or (type(a) is Struct and a._ground)
-               for a in args):
-            out._ground = True
-        return out
-    return t
+    return _rebuild(t, lambda v: v, env)
 
 
 def occurs(v: Var, t: Term, env: Subst) -> bool:
-    t = walk(t, env)
-    if t is v:
-        return True
-    if type(t) is Struct:
-        if t._ground:
-            return False
-        return any(occurs(v, a, env) for a in t.args)
+    stack = [t]
+    while stack:
+        u = walk(stack.pop(), env)
+        if u is v:
+            return True
+        if type(u) is Struct and not u.ground:
+            stack.extend(u.args)
     return False
 
 
@@ -219,11 +251,11 @@ def unify_in(t1: Term, t2: Term, env: Subst) -> bool:
         ta = type(a)
         tb = type(b)
         if ta is Var:
-            if tb is not Const and occurs(a, b, env):
+            if tb is Struct and not b.ground and occurs(a, b, env):
                 return False
             env[a] = b
         elif tb is Var:
-            if ta is not Const and occurs(b, a, env):
+            if ta is Struct and not a.ground and occurs(b, a, env):
                 return False
             env[b] = a
         elif ta is Const:
@@ -251,15 +283,7 @@ def unify(t1: Term, t2: Term) -> Optional[Subst]:
 
 def apply(s: Subst, t: Term) -> Term:
     """Simultaneous replacement of bound variables in t."""
-    tp = type(t)
-    if tp is Var:
-        return s.get(t, t)
-    if tp is Struct and not t._ground:
-        args = tuple(apply(s, a) for a in t.args)
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return Struct(t.functor, args)
-    return t
+    return _rebuild(t, lambda v: s.get(v, v))
 
 
 def is_variant(t1: Term, t2: Term) -> bool:
@@ -311,29 +335,43 @@ def term_vars(t: Term) -> list:
     return list(seen)
 
 
-def canonical_key(t: Term, env: Optional[Subst] = None, _numbering: Optional[dict] = None):
+def canonical_key(t: Term, env: Optional[Subst] = None, numbering: Optional[dict] = None):
     """Hashable structural key with variables numbered by first occurrence.
 
     Two terms are variants iff their canonical keys are equal, so the key
-    serves as the variant-based table index.  Constants map to their raw
-    value (str/int never collide with the tuple-shaped var/struct keys).
+    serves as the variant-based table index.  A constant's key is its raw
+    value (str/int never collide with the tuple-shaped keys), a variable's
+    is ("v", n).  A compound's key is flat: "s", functor, arity, then each
+    subterm below it in pre-order, a compound as a ("s", functor, arity)
+    token, a variable as ("v", n), a constant as its value.  Arities make
+    the pre-order unambiguous, and keys order as nested per-subterm tuples
+    would.  Flat, because CPython hashes and compares nested tuples
+    recursively, so a deep term's nested key would exhaust the recursion
+    limit.  Pass numbering (variable -> n) to number several terms as one.
     """
-    numbering = _numbering if _numbering is not None else {}
-
-    def go(u: Term):
+    if numbering is None:
+        numbering = {}
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if env is not None:
             u = walk(u, env)
         tp = type(u)
         if tp is Const:
-            return u.value
-        if tp is Var:
+            out.append(u.value)
+        elif tp is Var:
             idx = numbering.get(u)
             if idx is None:
                 idx = numbering[u] = len(numbering)
-            return ("v", idx)
-        return ("s", u.functor, len(u.args)) + tuple([go(a) for a in u.args])
-
-    return go(t)
+            out.append(("v", idx))
+        else:
+            out.append(("s", u.functor, len(u.args)))
+            stack.extend(reversed(u.args))
+    if len(out) == 1:
+        return out[0]
+    out[:1] = out[0]
+    return tuple(out)
 
 
 def canonical_tuple_key(terms: tuple, env: Optional[Subst] = None) -> tuple:
@@ -345,116 +383,63 @@ def abstract_depth(t: Term, k: int) -> tuple:
     """Replace subterms of the atom t deeper than k by distinct fresh variables.
 
     Arguments of the atom are at depth 1.  Returns (abstracted, binding) with
-    apply(binding, abstracted) == t.
+    apply(binding, abstracted) == t; binding is empty, and abstracted is t,
+    when no non-variable subterm is deeper than k.
     """
     if k < 0:
         raise ValueError("abstraction depth must be non-negative")
     binding: Subst = {}
-    counter = itertools.count(1)
-
-    def go(u: Term, depth: int) -> Term:
-        if depth > k and (isinstance(u, Struct) or not isinstance(u, Var)):
-            # Replacement point: anything but an already-free variable.
-            v = Var(f"{ABSTRACT_PREFIX}{next(counter)}")
-            binding[v] = u
-            return v
-        if isinstance(u, Struct):
-            return Struct(u.functor, tuple(go(a, depth + 1) for a in u.args))
-        return u
-
     if isinstance(t, Const):
         return t, binding
     if not isinstance(t, Struct):
         raise TypeError("abstract_depth expects a callable atom")
-    return Struct(t.functor, tuple(go(a, 1) for a in t.args)), binding
-
-
-def needs_abstraction(t: Term, k: int, env: Optional[Subst] = None) -> bool:
-    """True iff some non-variable subterm of atom t sits deeper than k
-    (atom arguments are at depth 1)."""
-    if type(t) is Const or not isinstance(t, Struct):
-        return False
-    stack = [(a, 1) for a in t.args]
-    while stack:
-        u, depth = stack.pop()
-        if env is not None:
-            u = walk(u, env)
-        if type(u) is Var:
-            continue
-        if depth > k:
-            return True
-        if type(u) is Struct:
-            stack.extend((a, depth + 1) for a in u.args)
-    return False
+    # open compounds: (term, depth of its arguments, rest, new args)
+    stack = [(t, 1, iter(t.args), [])]
+    while True:
+        s, depth, rest, out = stack[-1]
+        for a in rest:
+            if type(a) is not Var and depth > k:
+                v = Var(f"{ABSTRACT_PREFIX}{len(binding) + 1}")
+                binding[v] = a
+                a = v
+            elif type(a) is Struct:
+                stack.append((a, depth + 1, iter(a.args), []))
+                break
+            out.append(a)
+        else:
+            stack.pop()
+            if not all(map(is_, out, s.args)):
+                s = Struct(s.functor, tuple(out))
+            if not stack:
+                return s, binding
+            stack[-1][3].append(s)
 
 
 def skolemize(t: Term) -> Term:
     """Replace each distinct free variable by a distinct reserved constant."""
-    mapping: dict = {}
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            c = mapping.get(u)
-            if c is None:
-                c = mapping[u] = Const(f"{SKOLEM_PREFIX}{len(mapping) + 1}")
-            return c
-        if isinstance(u, Struct):
-            return Struct(u.functor, tuple(go(a) for a in u.args))
-        return u
-
-    return go(t)
+    return _rebuild(t, _fresh(lambda v, n: Const(f"{SKOLEM_PREFIX}{n + 1}")))
 
 
 def canonicalize_terms(terms: tuple) -> tuple:
     """Rename the variables of an answer tuple to fresh canonical ones."""
-    if all(is_ground(t) for t in terms):
+    if all(t.ground for t in terms):
         return terms
-    mapping: dict = {}
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            v = mapping.get(u)
-            if v is None:
-                v = mapping[u] = Var(f"_A{len(mapping)}")
-            return v
-        if isinstance(u, Struct) and not is_ground(u):
-            return Struct(u.functor, tuple(go(a) for a in u.args))
-        return u
-
-    return tuple(go(t) for t in terms)
+    leaf = _fresh(lambda v, n: Var(f"_A{n}"))
+    return tuple(_rebuild(t, leaf) for t in terms)
 
 
 def is_ground(t: Term) -> bool:
-    tp = type(t)
-    if tp is Const:
-        return True
-    if tp is Var:
-        return False
-    g = t._ground
-    if g is None:
-        g = t._ground = all(is_ground(a) for a in t.args)
-    return g
+    return t.ground
 
 
-def rename_clause(head: Term, body, mapping: Optional[dict] = None) -> tuple:
+def rename_clause(head: Term, body) -> tuple:
     """Copy a clause with all variables renamed apart.
 
     Ground substructure is shared, not copied.
     """
-    mapping = mapping if mapping is not None else {}
-
-    def go(u: Term) -> Term:
-        tp = type(u)
-        if tp is Var:
-            v = mapping.get(u)
-            if v is None:
-                v = mapping[u] = Var(u.name)
-            return v
-        if tp is Struct and not is_ground(u):
-            return Struct(u.functor, tuple(go(a) for a in u.args))
-        return u
-
-    return go(head), [lit.map_terms(go) for lit in body]
+    leaf = _fresh(lambda v, n: Var(v.name))
+    return _rebuild(head, leaf), [lit.map_terms(lambda u: _rebuild(u, leaf))
+                                  for lit in body]
 
 
 def _plain_atom(s: str) -> bool:
@@ -462,13 +447,23 @@ def _plain_atom(s: str) -> bool:
 
 
 def format_term(t: Term, env: Optional[Subst] = None) -> str:
-    if env is not None:
-        t = walk(t, env)
-    if isinstance(t, Var):
-        return t.name if t.name != "_" else f"_G{id(t) & 0xFFFF:04x}"
-    if isinstance(t, Const):
-        if isinstance(t.value, int):
-            return str(t.value)
-        return t.value if _plain_atom(t.value) else f"'{t.value}'"
-    args = ",".join(format_term(a, env) for a in t.args)
-    return f"{t.functor}({args})"
+    out = []
+    stack = [t]   # terms still to print, and the "," and ")" between them
+    while stack:
+        u = stack.pop()
+        if env is not None:
+            u = walk(u, env)
+        if type(u) is str:
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(u.name if u.name != "_" else f"_G{id(u) & 0xFFFF:04x}")
+        elif isinstance(u, Const):
+            if isinstance(u.value, int):
+                out.append(str(u.value))
+            else:
+                out.append(u.value if _plain_atom(u.value) else f"'{u.value}'")
+        else:
+            out.append(f"{u.functor}(")
+            stack.append(")")
+            stack.extend([x for a in reversed(u.args) for x in (a, ",")][:-1])
+    return "".join(out)

@@ -343,3 +343,50 @@ q(2). q(3).
     assert len(drivers()) == 3
     assert answers_of(engine.query("p(X), q(X)")) == [((2,), "true")]
     assert len(drivers()) == 3
+
+
+def _observe(program, goal, update=None):
+    """What an engine shows after one query, and after an assert and a
+    requery when update is given; serials included."""
+    from incrtab.terms import format_term
+
+    engine = Engine()
+    engine.consult_text(program)
+    list(engine.query(goal))
+    invalid = []
+    if update is not None:
+        engine.store.assert_clause(parse_clause(update))
+        invalid = [(format_term(n.table.subgoal), n.serial, n.falsecount)
+                   for n in engine.last_invalid_list]
+        list(engine.query(goal))
+    tables = list(engine.space.tables.values())
+    nodes = sorted(n.serial for n in engine.idg.nodes.values())
+    return {
+        "tables": [(t.serial, format_term(t.subgoal)) for t in tables],
+        "nodes": nodes,
+        "snapshot": engine.space.snapshot(),
+        "edges": engine.idg.dump_edges(),
+        "invalid": invalid,
+        "delays": [(t.serial, [(dl.render(), dl.canonical())
+                               for a in t.answers.values()
+                               for dl in a.delay_lists])
+                   for t in tables],
+    }
+
+
+def test_serials_are_per_engine():
+    """Table and IDG serials start at 1 in every engine, so what one engine
+    shows does not depend on the engines that ran before it."""
+    from incrtab import programs
+
+    sessions = [(programs.P_INC, "t_1(X)", "p(g(2))."),
+                (programs.CONDITIONAL_EXAMPLE, "p(X)")]
+    forward = [_observe(*s) for s in sessions]
+    backward = [_observe(*s) for s in reversed(sessions)][::-1]
+    assert forward == backward
+    p_inc, conditional = forward
+    assert p_inc["tables"][0][0] == p_inc["nodes"][0] == 1
+    assert p_inc["invalid"] == [("t_5(X)", 3, 1), ("t_4(X)", 2, 1),
+                                ("t_1(X)", 1, 1)]
+    assert conditional["tables"][0][0] == 1 and conditional["nodes"] == []
+    assert any(delays for _, delays in conditional["delays"])

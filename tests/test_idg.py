@@ -10,7 +10,7 @@ from incrtab.errors import InternalStateError, PermissionViolation
 from incrtab.idg import COMPUTE_DEPENDENCIES_FIRST, COMPUTE_DIRECTLY, Idg
 from incrtab.parser import parse_clause
 from incrtab.program import PredicateDecl
-from incrtab.tables import COMPLETED, Table
+from incrtab.tables import COMPLETED, TableSpace
 from incrtab.terms import Const, Struct, Var, arg1_key, format_term, mk, unify
 
 P_INC = """
@@ -82,8 +82,11 @@ def test_second_update_hits_falsecount_guard():
 
 def test_register_call_edge_idempotent():
     idg = Idg()
-    t1 = Table(mk("a", Var("X")), PredicateDecl("a", 1, tabled=True, incremental=True))
-    t2 = Table(mk("b", Var("X")), PredicateDecl("b", 1, tabled=True, incremental=True))
+    space = TableSpace()
+    t1, _ = space.find_or_create_table(
+        mk("a", Var("X")), PredicateDecl("a", 1, tabled=True, incremental=True))
+    t2, _ = space.find_or_create_table(
+        mk("b", Var("X")), PredicateDecl("b", 1, tabled=True, incremental=True))
     n1, n2 = idg.node_for(t1), idg.node_for(t2)
     idg.register_call_edge(n1, n2)
     idg.register_call_edge(n1, n2)
@@ -131,8 +134,11 @@ def test_non_incremental_table_registers_no_leaf():
 
 def test_propagate_validity_underflow_detected():
     idg = Idg()
-    t1 = Table(mk("a", Var("X")), PredicateDecl("a", 1, tabled=True, incremental=True))
-    t2 = Table(mk("b", Var("X")), PredicateDecl("b", 1, tabled=True, incremental=True))
+    space = TableSpace()
+    t1, _ = space.find_or_create_table(
+        mk("a", Var("X")), PredicateDecl("a", 1, tabled=True, incremental=True))
+    t2, _ = space.find_or_create_table(
+        mk("b", Var("X")), PredicateDecl("b", 1, tabled=True, incremental=True))
     n1, n2 = idg.node_for(t1), idg.node_for(t2)
     idg.register_call_edge(n1, n2)
     n1.affected_edges[n2] = True  # pending contribution, but falsecount is 0

@@ -414,3 +414,62 @@ def test_query_during_evaluation_is_refused(monkeypatch):
         assert answers_of(engine.query("reach(X,Y)")) == answers_of_closure(
             {(1, 2), (2, 3)})
     assert refused
+
+
+# -- deep terms: every term walker keeps an explicit stack --------------------
+
+DEPTHS = [5000, 100000]
+
+
+def deep_text(depth):
+    return "s(" * depth + "nil" + ")" * depth
+
+
+def deep_term(depth):
+    term = Const("nil")
+    for _ in range(depth):
+        term = mk("s", term)
+    return term
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_deep_static_fact_answers(depth):
+    engine = Engine()
+    engine.consult_text(":- table len/2.\nlen(X,N) :- lst(X), N = 1.\n"
+                        f"lst({deep_text(depth)}).\n")
+    for _ in range(2):
+        rows = list(engine.query("len(X,N)"))
+        assert len(rows) == 1
+        (lst, n), truth = rows[0]
+        assert format_term(lst) == deep_text(depth)
+        assert (n, truth) == (Const(1), "true")
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_deep_dynamic_fact_assert_and_retract(depth):
+    engine = Engine()
+    engine.consult_text(LEN + "lst(a).\n")
+    shallow = [(("a", 1), "true"), (("nil", 1), "true")]
+    assert answers_of(engine.query("len(X,N)")) == shallow
+    fact = Clause(mk("lst", deep_term(depth)), [])
+    engine.store.assert_clause(fact)
+    rows = answers_of(engine.query("len(X,N)"))
+    assert rows == sorted(shallow + [((deep_text(depth), 1), "true")])
+    engine.store.retract_clause(Clause(mk("lst", deep_term(depth)), []))
+    assert len(engine.store.dynamic[("lst", 1)].items) == 2
+    assert answers_of(engine.query("len(X,N)")) == shallow
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_deep_tables_found_again(depth):
+    engine = Engine()
+    engine.consult_text(":- table q/1.\nq(X) :- lst(X).\n"
+                        f"lst({deep_text(depth)}).\nlst(a).\n")
+    expected = [(("a",), "true"), ((deep_text(depth),), "true")]
+    goal = f"q({deep_text(depth)})"
+    for _ in range(2):
+        assert answers_of(engine.query("q(X)")) == expected
+        assert [truth for _, truth in engine.query(goal)] == ["true"]
+        assert len(engine.space.tables) == 2
+    assert [format_term(t.subgoal) for t in engine.space.tables.values()] == [
+        "q(X)", goal]

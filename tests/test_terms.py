@@ -1,7 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import incrtab.parser
+import incrtab.terms
+from incrtab.program import POS, Literal
 from incrtab.terms import (
     Const,
     Struct,
@@ -9,13 +15,18 @@ from incrtab.terms import (
     abstract_depth,
     apply,
     canonical_key,
+    canonicalize_terms,
     format_term,
     is_ground,
     is_variant,
     mk,
+    occurs,
+    rename_clause,
+    resolve,
     skolemize,
     term_vars,
     unify,
+    unify_in,
 )
 
 
@@ -208,3 +219,231 @@ def test_skolemize_ground_and_variant_preserving(t):
     sk = skolemize(t)
     assert is_ground(sk)
     assert is_variant(skolemize(t), sk)
+
+
+# -- deep terms ---------------------------------------------------------------
+
+DEPTHS = [5000, 100000]
+
+
+def deep_term(depth, leaf="nil"):
+    term = leaf if isinstance(leaf, Var) else Const(leaf)
+    for _ in range(depth):
+        term = mk("s", term)
+    return term
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_deep_terms_format_compare_and_hash(depth):
+    a, b = deep_term(depth), deep_term(depth)
+    assert format_term(a) == "s(" * depth + "nil" + ")" * depth
+    assert a == b and hash(a) == hash(b)
+    assert a != deep_term(depth, "zero") and a != mk("s", a)
+    x = Var("X")
+    assert deep_term(depth, x) == deep_term(depth, x)
+    assert deep_term(depth, x) != deep_term(depth, Var("X"))
+    assert {canonical_key(a): 1}[canonical_key(b)] == 1
+    assert canonical_key(deep_term(depth, Var("X"))) == canonical_key(
+        deep_term(depth, Var("Y")))
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_deep_terms_unify_resolve_and_copy(depth):
+    x = Var("X")
+    open_term = deep_term(depth, x)
+    env = {}
+    assert unify_in(open_term, deep_term(depth), env)
+    assert resolve(open_term, env) == deep_term(depth)
+    assert not unify_in(x, open_term, {})  # occurs check
+    assert occurs(x, open_term, {})
+    head, _ = rename_clause(mk("lst", open_term), [])
+    assert is_variant(head, mk("lst", open_term)) and term_vars(head) != [x]
+    assert skolemize(open_term) == deep_term(depth, "$sk1")
+    assert apply({x: Const("nil")}, open_term) == deep_term(depth)
+    atom = mk("lst", open_term)
+    assert abstract_depth(atom, depth) == (atom, {})
+    abstracted, binding = abstract_depth(atom, depth // 2)
+    assert len(binding) == 1 and apply(binding, abstracted) == atom
+    assert is_ground(deep_term(depth)) and not is_ground(atom)
+
+
+# -- the walkers against recursive references ---------------------------------
+# Each reference is the plain recursive definition, kept here only to check
+# the iterative walkers of incrtab.terms on shallow terms.
+
+def ref_same(a, b):
+    """Structural equality, variables by identity."""
+    if isinstance(a, Var) or isinstance(b, Var):
+        return a is b
+    if isinstance(a, Const) or isinstance(b, Const):
+        return a == b
+    return (a.functor == b.functor and len(a.args) == len(b.args)
+            and all(ref_same(x, y) for x, y in zip(a.args, b.args)))
+
+
+def ref_show(t):
+    """Shape of t with variables shown by name."""
+    if isinstance(t, Var):
+        return ("v", t.name)
+    if isinstance(t, Const):
+        return ("c", type(t.value).__name__, t.value)
+    return ("s", t.functor, tuple(ref_show(a) for a in t.args))
+
+
+def ref_walk(t, env):
+    while isinstance(t, Var) and t in env:
+        t = env[t]
+    return t
+
+
+def ref_resolve(t, env):
+    t = ref_walk(t, env)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(ref_resolve(a, env) for a in t.args))
+    return t
+
+
+def ref_apply(s, t):
+    if isinstance(t, Var):
+        return s.get(t, t)
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(ref_apply(s, a) for a in t.args))
+    return t
+
+
+def ref_rename(t, mapping, make):
+    if isinstance(t, Var):
+        if t not in mapping:
+            mapping[t] = make(t, len(mapping))
+        return mapping[t]
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(ref_rename(a, mapping, make) for a in t.args))
+    return t
+
+
+def ref_occurs(v, t, env):
+    t = ref_walk(t, env)
+    if isinstance(t, Struct):
+        return any(ref_occurs(v, a, env) for a in t.args)
+    return t is v
+
+
+def ref_format(t):
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return str(t.value)
+    return f"{t.functor}({','.join(ref_format(a) for a in t.args)})"
+
+
+def ref_abstract(t, k, binding, depth=0):
+    if isinstance(t, Var):
+        return t
+    if depth > k:
+        v = Var(f"$abs{len(binding) + 1}")
+        binding[v] = t
+        return v
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(ref_abstract(a, k, binding, depth + 1)
+                                       for a in t.args))
+    return t
+
+
+def ref_key(t, numbering):
+    """The nested canonical key the flat one replaced."""
+    if isinstance(t, Const):
+        return t.value
+    if isinstance(t, Var):
+        return ("v", numbering.setdefault(t, len(numbering)))
+    return ("s", t.functor, len(t.args)) + tuple(ref_key(a, numbering) for a in t.args)
+
+
+def outcome(compare):
+    try:
+        return compare()
+    except TypeError:
+        return TypeError
+
+
+_pool = [_shared_var(name) for name in ("X", "Y", "Z")]
+
+
+def _terms_to(depth):
+    base = st.one_of(_names.map(Const),
+                     st.integers(min_value=0, max_value=3).map(Const),
+                     st.sampled_from(_pool))
+    if depth == 0:
+        return base
+    return st.one_of(base, st.tuples(
+        _names, st.lists(_terms_to(depth - 1), min_size=1, max_size=2),
+    ).map(lambda fa: Struct(fa[0], tuple(fa[1]))))
+
+
+_shallow = _terms_to(6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shallow, _shallow, _shallow)
+def test_walkers_match_recursive_references(t, u, w):
+    env = {}
+    unify_in(u, w, env)  # partial or complete, always acyclic
+    assert ref_same(resolve(t, env), ref_resolve(t, env))
+    assert occurs(_pool[0], t, env) == ref_occurs(_pool[0], t, env)
+    s = {v: b for v, b in env.items() if v is not _pool[1]}
+    assert ref_same(apply(s, t), ref_apply(s, t))
+    head, (lit,) = rename_clause(t, [Literal(POS, u)])
+    pair = Struct("c", (head, lit.atom))
+    assert is_variant(pair, Struct("c", (t, u)))
+    assert not set(term_vars(pair)) & set(_pool)
+    assert [v.name for v in term_vars(pair)] == [
+        v.name for v in term_vars(Struct("c", (t, u)))]
+    skolem = ref_rename(t, {}, lambda v, n: Const(f"$sk{n + 1}"))
+    assert ref_show(skolemize(t)) == ref_show(skolem)
+    canon = ref_rename(Struct("c", (t, u)), {}, lambda v, n: Var(f"_A{n}"))
+    assert [ref_show(x) for x in canonicalize_terms((t, u))] == [
+        ref_show(x) for x in canon.args]
+    assert format_term(t) == ref_format(t)
+    for k in range(4):
+        atom = Struct("p", (t, u))
+        binding = {}
+        got, got_binding = abstract_depth(atom, k)
+        assert ref_show(got) == ref_show(ref_abstract(atom, k, binding))
+        assert {v.name: ref_show(b) for v, b in got_binding.items()} == {
+            v.name: ref_show(b) for v, b in binding.items()}
+    for a, b in ((t, u), (t, resolve(t, {})), (t, ref_resolve(t, {}))):
+        assert (a == b) == ref_same(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+        flat = canonical_key(a), canonical_key(b)
+        nested = ref_key(a, {}), ref_key(b, {})
+        assert (flat[0] == flat[1]) == (nested[0] == nested[1])
+        assert outcome(lambda: flat[0] < flat[1]) == outcome(
+            lambda: nested[0] < nested[1])
+
+
+# -- guard: no walker recurses --------------------------------------------------
+
+def _self_calls(functions):
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(
+                    callee, "attr", None)
+                if name == fn.name:
+                    yield fn.name
+
+
+def _functions(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    return [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_no_term_walker_calls_itself():
+    """Term depth is unbounded, so no function of incrtab.terms (nested ones
+    included) and not Parser.parse_term may recurse."""
+    functions = _functions(incrtab.terms) + [
+        fn for fn in _functions(incrtab.parser) if fn.name == "parse_term"]
+    assert len(functions) > 20
+    assert sorted(set(_self_calls(functions))) == []
