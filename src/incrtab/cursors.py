@@ -1,10 +1,13 @@
 """View-consistent answer cursors over completed tables.
 
-A cursor iterates the live answer store in insertion order.  When the table
-is about to be re-evaluated (or mutated by simplification) while cursors are
-open, the unconsumed suffix of every open cursor is copied into an immutable
-snapshot and the cursor switches to snapshot mode, so it keeps yielding
-exactly the answers that were present when it was opened.
+A cursor iterates the live answer store in insertion order, over the keys
+present when it was opened.  A re-evaluation that only appends answers (a
+re-opened table, see `engine.Engine._reopen`) leaves open cursors live.
+When the table is about to be re-derived from scratch (or mutated by
+simplification) while cursors are open, the unconsumed suffix of every open
+cursor is copied into an immutable snapshot and the cursor switches to
+snapshot mode.  Either way it yields exactly the answers that were present
+when it was opened.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ class Cursor:
         self.pos = 0
         self.snapshot: Optional[tuple] = None   # ((terms, marker), ...)
         # Insertion order frozen at open time; deletions are checked at
-        # yield time, additions after open are past the recorded suffix
-        # only if the table is re-evaluated, which snapshots first.
+        # yield time, and answers added after open are not in the list.
         self._keys = list(table.answers.keys())
 
     def __iter__(self):

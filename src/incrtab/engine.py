@@ -10,8 +10,17 @@ residual reduction over its conditional answers settles every answer to
 true (strengthened), false (deleted) or undefined (kept conditional).
 
 Tables invalidated by earlier updates re-enter evaluation through the same
-machinery: a call to an invalid table enlists it for re-derivation inside
-the active evaluation, with the mark/compare protocol driving what changed.
+machinery: a call to an invalid table enlists it inside the active
+evaluation, in one of two ways chosen by `Engine._can_reopen`:
+
+- re-opened (semi-naive, after inserts only): a definite table that only
+  leaves invalidated keeps its answers and IDG edges and derives only what
+  uses a newly asserted fact or one of its own new answers;
+- re-derived (every other table): its answers are marked, derived again
+  from scratch, and the marked answers not derived again are removed.
+
+Either way `_finish_reeval` compares the answers before and after, and the
+IDG propagates validity when nothing changed.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from .tables import (
 )
 from .tables import POS as POS_LIT
 from .terms import (
+    Arg1Index,
     Const,
     Struct,
     Term,
@@ -77,6 +87,13 @@ from .terms import (
     walk,
 )
 
+# Call kinds that only a re-opened table's seed continuations hold (see
+# `Engine._reopen`): DELTA resolves against the clauses asserted since the
+# table was last valid, NEW_ANSWERS reads the table's own answers added
+# since it was re-opened.
+DELTA = "delta"
+NEW_ANSWERS = "new_answers"
+
 
 class Continuation:
     __slots__ = ("owner", "literals", "idx", "env", "delays", "committed")
@@ -92,13 +109,15 @@ class Continuation:
 
 
 class Subscription:
-    __slots__ = ("cont", "goal", "provider", "next_idx")
+    __slots__ = ("cont", "goal", "provider", "next_idx", "delta")
 
-    def __init__(self, cont: Continuation, goal: Term, provider: Table):
+    def __init__(self, cont: Continuation, goal: Term, provider: Table,
+                 delta: Optional[Arg1Index] = None, next_idx: int = 0):
         self.cont = cont
         self.goal = goal
         self.provider = provider
-        self.next_idx = 0
+        self.next_idx = next_idx
+        self.delta = delta     # clauses of cont's next literal, a DELTA call
 
 
 class EngineStats:
@@ -106,6 +125,7 @@ class EngineStats:
         self.steps = 0
         self.answers = 0
         self.reevals = 0
+        self.semi_naive = 0    # re-evaluations that re-opened their table
         self.drains = 0
         self.invalidations = 0
         self.queries = 0
@@ -143,6 +163,7 @@ class Evaluation:
         self.dirty: deque = deque()    # providers with undelivered answers
         self.dirty_set: set = set()
         self.catchup: deque = deque()  # fresh subscriptions with backlog
+        self.deltas: dict = {}         # (serial, pred) -> Arg1Index of delta clauses
 
     # -- table management -------------------------------------------------
 
@@ -212,7 +233,8 @@ class Evaluation:
             answer = table.answers.get(key)
             if answer is None or answer.deleted:
                 continue
-            if self.engine._resume_with(self, sub.cont, sub.goal, table, answer):
+            if self.engine._resume_with(self, sub.cont, sub.goal, table, answer,
+                                        sub.delta):
                 produced = True
         return produced
 
@@ -299,6 +321,7 @@ class Engine:
         self._driver_counter = 0
         self._reeval_outcomes: dict = {}
         self._abstract_alias: dict = {}
+        self._facts_seen: dict = {}    # pred -> (seq, removals, holds only facts)
         self.store.on_update = self._on_update
         self.space.preserve_hook = cursors.preserve_views
         self.space.count_hook = self._sync_node_count
@@ -517,18 +540,121 @@ class Engine:
             self.idg.drop_detached_leaves()
 
     def _begin_reeval(self, evaluation: Evaluation, table: Table) -> None:
-        """Enlist a completed, invalid table for re-derivation."""
+        """Enlist a completed, invalid table for re-evaluation: re-opened
+        when `_can_reopen` allows it, else re-derived from scratch."""
         node = table.idg_node
         self.stats.reevals += 1
-        if table.occp_num > 0:
-            cursors.preserve_views(table)
         node.previous_count = table.live_count()
-        self.space.begin_reeval_marks(table)
         node.new_answer = False
-        self.idg.clear_dependencies(node)
         table.in_reeval = True
         table.cut_hit = False
+        if self._can_reopen(table):
+            self._reopen(evaluation, table)
+            return
+        if table.occp_num > 0:
+            cursors.preserve_views(table)
+        self.space.begin_reeval_marks(table)
+        self.idg.clear_dependencies(node)
         evaluation.seed(table)
+
+    def _delta_marks(self, table: Table) -> Optional[dict]:
+        """The `IdgNode.delta_marks` of a table just completed: None unless
+        it has no answer or subgoal abstraction and its clauses are
+        definite, each positive literal calling a tabled or a dynamic
+        predicate (a non-tabled static one would be inlined, hiding new facts)."""
+        decl = table.decl
+        if decl is None or decl.answer_abstraction is not None \
+                or decl.subgoal_abstraction is not None:
+            return None
+        marks: dict = {}
+        for clause in self._clauses_for(table.subgoal):
+            for lit in clause.body:
+                if lit.kind in (TNOT, SK_NOT, UNDEFINED, CUT):
+                    return None
+                if lit.kind != POS:
+                    continue
+                if type(lit.atom) is Var:
+                    return None
+                pred = functor_of(lit.atom)
+                ref = self.store.decl_of(pred)
+                if ref is None or not (ref.tabled or ref.dynamic):
+                    return None
+                if ref.dynamic:
+                    index = self.store.dynamic[pred]
+                    marks[pred] = (index._seq, index.removed)
+        return marks
+
+    def _only_facts(self, pred: tuple) -> bool:
+        """Whether dynamic pred holds no rule.  Reads only the clauses stored
+        since the last call for pred, unless it held a rule that may since
+        have been retracted."""
+        index = self.store.dynamic[pred]
+        seq, removed, only = self._facts_seen.get(pred, (0, 0, True))
+        if not only and removed != index.removed:
+            seq, only = 0, True
+        only = only and not any(clause.body for _, clause in index.since(seq))
+        self._facts_seen[pred] = (index._seq, index.removed, only)
+        return only
+
+    def _can_reopen(self, table: Table) -> bool:
+        """The one test for semi-naive re-evaluation: the table has
+        `delta_marks`; only leaves invalidated it; every dynamic predicate
+        its clauses call lost no clause since it was last valid and holds
+        only facts (a stored rule is inlined, hiding new facts); and it has no
+        conditional answer."""
+        node = table.idg_node
+        marks = node.delta_marks
+        if marks is None or node.via_node:
+            return False
+        dynamic = self.store.dynamic
+        for pred, (_, removed) in marks.items():
+            if dynamic[pred].removed != removed or not self._only_facts(pred):
+                return False
+        return all(answer.unconditional for answer in table.answers.values())
+
+    def _reopen(self, evaluation: Evaluation, table: Table) -> None:
+        """Semi-naive re-evaluation after inserts (Bancilhon & Ramakrishnan,
+        SIGMOD 1986): keep the table's answers and IDG edges, and derive
+        only what uses a clause asserted since it was last valid (a delta
+        clause) or one of its own new answers.  Each clause gets one
+        continuation per body literal that calls a predicate with delta
+        clauses (made a DELTA call) or the table's own (a NEW_ANSWERS
+        call); the other literals stay ordinary calls, so every derivation
+        through a delta clause or a new answer is found.  Answers are only
+        appended, so open cursors keep their views."""
+        node = table.idg_node
+        self.stats.semi_naive += 1
+        for child in node.dependent_edges:
+            # the edges are kept: a later update through them must count
+            child.affected_edges[node] = False
+        evaluation.manage(table)
+        evaluation.delivery_log[table.serial].extend(table.answers)
+        for pred, (seq, _) in node.delta_marks.items():
+            added = self.store.dynamic[pred].since(seq)
+            if added:
+                delta = evaluation.deltas[(table.serial, pred)] = Arg1Index()
+                for _, clause in added:
+                    delta.add(clause.head, clause)
+        own = functor_of(table.subgoal)
+        for clause in self._clauses_for(table.subgoal):
+            head, body = clause.rename()
+            env: dict = {}
+            if not unify_in(table.subgoal, head, env):
+                continue
+            body = tuple(body)
+            for k, lit in enumerate(body):
+                if lit.kind != POS:
+                    continue
+                pred = functor_of(lit.atom)
+                if (table.serial, pred) in evaluation.deltas:
+                    kind = DELTA
+                elif pred == own:
+                    kind = NEW_ANSWERS
+                else:
+                    continue
+                literals = body[:k] + (Literal(kind, lit.atom),) + body[k + 1:]
+                evaluation.pending.append(
+                    Continuation(table, literals, 0, dict(env), ()))
 
     def _finish_reeval(self, table: Table) -> None:
         node = table.idg_node
@@ -540,6 +666,7 @@ class Engine:
         node.nbr_of_answers = new_count
         table.in_reeval = False
         node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
+        node.via_node = False
         changed = node.new_answer or new_count != old_count
         if changed:
             self.idg.clear_contributions(node)
@@ -647,6 +774,12 @@ class Engine:
                 cont.committed = True
                 idx += 1
                 continue
+            if kind == DELTA:
+                self._call_delta(evaluation, cont, lit.atom, idx, env, delays)
+                return
+            if kind == NEW_ANSWERS:
+                self._call_new_answers(evaluation, cont, lit.atom, idx, env, delays)
+                return
             raise InternalStateError(f"unknown literal kind {kind}")
 
     def _call_atom(self, evaluation: Evaluation, cont: Continuation,
@@ -659,16 +792,22 @@ class Engine:
         if decl is None:
             raise ExistenceError(f"undeclared predicate {pred[0]}/{pred[1]}")
         owner = cont.owner
+        literals = cont.literals
         if decl.tabled:
             provider = self._provider_table(evaluation, owner, root, env, decl)
-            template = Continuation(owner, cont.literals, idx + 1, env,
+            template = Continuation(owner, literals, idx + 1, env,
                                     delays, cont.committed)
+            delta = None
+            if idx + 1 < len(literals) and literals[idx + 1].kind == DELTA:
+                delta = evaluation.deltas[
+                    (owner.serial, functor_of(literals[idx + 1].atom))]
             if provider.status == COMPLETED:
                 for answer in list(provider.live_answers()):
-                    self._resume_with(evaluation, template, root, provider, answer)
+                    self._resume_with(evaluation, template, root, provider,
+                                      answer, delta)
             else:
                 evaluation.record_dep(owner, provider)
-                sub = Subscription(template, root, provider)
+                sub = Subscription(template, root, provider, delta)
                 evaluation.subs[provider.serial].append(sub)
                 evaluation.catchup.append(sub)
             return
@@ -678,7 +817,6 @@ class Engine:
                 raise PermissionViolation(
                     f"incremental table calls non-incremental dynamic {decl.indicator}")
         pending = evaluation.pending
-        literals = cont.literals
         for clause in self._clauses_for(root, env):
             if not clause.body:
                 env2 = dict(env)
@@ -692,6 +830,36 @@ class Engine:
                 pending.append(Continuation(
                     owner, literals[:idx] + tuple(body) + literals[idx + 1:],
                     idx, env2, delays, cont.committed))
+
+    def _call_delta(self, evaluation: Evaluation, cont: Continuation,
+                    atom: Term, idx: int, env: dict, delays: tuple) -> None:
+        """Resolve a DELTA call against its delta clauses, all facts.  It
+        registers no leaf: an old call pattern has one already, and a new
+        one is also called in full by the continuation of an earlier
+        position."""
+        owner = cont.owner
+        delta = evaluation.deltas[(owner.serial, functor_of(atom))]
+        for _, clause in delta.matching(atom, env):
+            env2 = dict(env)
+            if unify_in(atom, clause.rename()[0], env2):
+                evaluation.pending.append(Continuation(
+                    owner, cont.literals, idx + 1, env2, delays, cont.committed))
+
+    def _call_new_answers(self, evaluation: Evaluation, cont: Continuation,
+                          atom: Term, idx: int, env: dict, delays: tuple) -> None:
+        """Subscribe a NEW_ANSWERS call to the answers its re-opened table
+        adds, when the call is a variant of that table.  A call to any
+        other table fails: only leaves invalidated the re-opened table, so
+        no table it calls has changed."""
+        owner = cont.owner
+        if self.space.tables.get(canonical_key(atom, env)) is not owner:
+            return
+        template = Continuation(owner, cont.literals, idx + 1, env, delays,
+                                cont.committed)
+        sub = Subscription(template, atom, owner,
+                           next_idx=owner.idg_node.previous_count)
+        evaluation.subs[owner.serial].append(sub)
+        evaluation.catchup.append(sub)
 
     def _register_leaf(self, owner: Table, atom: Term, env: dict,
                        decl: PredicateDecl) -> None:
@@ -758,7 +926,11 @@ class Engine:
         return (DelayLiteral(NEG, provider, atom=atom),)
 
     def _resume_with(self, evaluation: Evaluation, template: Continuation,
-                     goal: Term, provider: Table, answer) -> bool:
+                     goal: Term, provider: Table, answer,
+                     delta: Optional[Arg1Index] = None) -> bool:
+        """Queue template resumed with answer unified into goal.  When the
+        next literal is a DELTA call, delta holds its clauses, and an answer
+        that leaves it no candidate is dropped here."""
         instance = provider.answer_instance(answer)
         if type(goal) is Struct and type(instance) is Struct and goal.args:
             a = walk(goal.args[0], template.env)
@@ -774,6 +946,9 @@ class Engine:
                 return False
         env2 = dict(template.env)
         if not unify_in(goal, instance, env2):
+            return False
+        if delta is not None and not delta.matching(
+                template.literals[template.idx].atom, env2):
             return False
         delays = template.delays
         if not answer.unconditional:
@@ -816,12 +991,14 @@ class Engine:
             evaluation.managed.pop(table.serial, None)
         self._residual_reduction(tables, in_scc)
         for table in tables:
+            node = table.idg_node
+            if node is None:
+                continue
+            node.delta_marks = self._delta_marks(table)
             if table.in_reeval:
                 self._finish_reeval(table)
             else:
-                node = table.idg_node
-                if node is not None:
-                    node.nbr_of_answers = table.live_count()
+                node.nbr_of_answers = table.live_count()
 
     def _residual_reduction(self, tables: list, in_scc: set) -> None:
         """Settle the conditional answers of a completed component to their

@@ -33,13 +33,18 @@ class IdgNode:
     """Node for an incremental tabled subgoal.
 
     Edge dicts are insertion-ordered; sibling order in traversals is edge
-    insertion order, pinned by golden tests.
+    insertion order, pinned by golden tests.  `via_node` tells whether an
+    invalidation reached the node from another node (not a leaf) since it
+    was last valid; `delta_marks` holds, from its last completion, the
+    (last seq, removals) of the clause index of each dynamic predicate its
+    clauses call, or None when its table cannot be re-opened.  The engine
+    reads both to choose semi-naive re-evaluation.
     """
 
     __slots__ = (
         "serial", "table", "affected_edges", "dependent_edges",
         "nbr_of_answers", "previous_count", "new_answer", "falsecount",
-        "reeval_ready",
+        "reeval_ready", "via_node", "delta_marks",
     )
 
     def __init__(self, serial: int, table):
@@ -52,6 +57,8 @@ class IdgNode:
         self.new_answer = False
         self.falsecount = 0
         self.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
+        self.via_node = False
+        self.delta_marks: Optional[dict] = None
 
     @property
     def invalid(self) -> bool:
@@ -167,7 +174,8 @@ class Idg:
         propagate_validity undo exactly the increments made here.  Returns
         the invalid list: affected table nodes in traversal order, whose
         in-order drain updates tables bottom-up.  Self-loop edges do not
-        contribute (a table cannot invalidate itself).
+        contribute (a table cannot invalidate itself).  A node reached from
+        a node, not a leaf, is marked `via_node`.
         """
         invalid_list: list = []
         for leaf in leaves:
@@ -184,6 +192,8 @@ class Idg:
                     raise PermissionViolation(
                         "update affects the incomplete table "
                         f"{format_term(aff.table.subgoal)}")
+                if type(origin) is IdgNode:
+                    aff.via_node = True
                 transitioned = False
                 if not origin.affected_edges.get(aff, False):
                     origin.affected_edges[aff] = True
@@ -210,6 +220,7 @@ class Idg:
                 aff.falsecount -= 1
                 if aff.falsecount == 0 and not aff.table.in_reeval:
                     aff.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
+                    aff.via_node = False
                     stack.append(aff)
 
     def clear_contributions(self, node: IdgNode) -> None:

@@ -128,7 +128,7 @@ class Table:
 
     __slots__ = (
         "serial", "subgoal", "subst_vars", "decl", "answers", "status",
-        "occp_num", "idg_node", "cursors", "in_reeval", "cut_hit",
+        "occp_num", "idg_node", "cursors", "in_reeval", "cut_hit", "_live",
     )
 
     def __init__(self, serial: int, subgoal: Term, decl):
@@ -143,6 +143,7 @@ class Table:
         self.cursors: list = []      # live cursors (view-cursor module)
         self.in_reeval = False
         self.cut_hit = False
+        self._live = 0               # answers not marked deleted
 
     @property
     def ans_subst_size(self) -> int:
@@ -154,7 +155,7 @@ class Table:
                 yield ans
 
     def live_count(self) -> int:
-        return sum(1 for _ in self.live_answers())
+        return self._live
 
     def answer_instance(self, answer: Answer) -> Term:
         """The subgoal instantiated by an answer substitution (cached)."""
@@ -259,6 +260,7 @@ class TableSpace:
                 answer.delay_lists.append(dl)
                 self._register(table, answer, dl)
             table.answers[key] = answer
+            table._live += 1
             if answer.unconditional:
                 self._queue(("true", table, answer))
                 self._run_events()
@@ -266,6 +268,7 @@ class TableSpace:
 
         if existing.deleted:
             existing.deleted = False
+            table._live += 1
             was_cond = not existing.was_unconditional
             existing.delay_lists = []
             if delays:
@@ -303,6 +306,7 @@ class TableSpace:
             if not answer.deleted:
                 answer.was_unconditional = answer.unconditional
             answer.deleted = True
+        table._live = 0
 
     def finalize_reeval(self, table: Table) -> tuple:
         """Remove still-deleted answers; report (removed, weakened)."""
@@ -356,6 +360,8 @@ class TableSpace:
         if table.status == COMPLETED and table.occp_num > 0 and self.preserve_hook:
             self.preserve_hook(table)
         del table.answers[answer.key]
+        if not answer.deleted:
+            table._live -= 1
         self.stats["simplify_deleted"] += 1
         self._queue(("false", table, answer))
         self._sync_count(table)

@@ -473,3 +473,176 @@ def test_deep_tables_found_again(depth):
         assert len(engine.space.tables) == 2
     assert [format_term(t.subgoal) for t in engine.space.tables.values()] == [
         "q(X)", goal]
+
+
+# -- semi-naive re-evaluation after inserts ----------------------------------
+
+
+def fresh_answers(program, goal, facts=()):
+    fresh = Engine()
+    fresh.consult_text(program)
+    for fact in facts:
+        fresh.store.assert_clause(parse_clause(fact))
+    return answers_of(fresh.query(goal))
+
+
+def test_semi_naive_assert_then_retract_restores_base():
+    engine = Engine()
+    engine.consult_text(REACH)
+    base = answers_of(engine.query("reach(X,Y)"))
+    facts = ["edge(3,4)."]
+    for fact in facts:
+        engine.store.assert_clause(parse_clause(fact))
+    assert answers_of(engine.query("reach(X,Y)")) == fresh_answers(
+        REACH, "reach(X,Y)", facts)
+    assert engine.stats.semi_naive == 1
+    # the re-opened table kept its leaf edges: their contributed flags must
+    # have been reset, or this retract would not invalidate it
+    for fact in facts:
+        engine.store.retract_clause(parse_clause(fact))
+    assert node_of(engine, "reach(X,Y)").invalid
+    assert answers_of(engine.query("reach(X,Y)")) == base
+    assert engine.stats.semi_naive == 1
+
+
+def test_dynamic_rule_takes_full_path():
+    program = """
+:- table t/1 as incremental.
+:- dynamic d1/1, d2/1 as incremental.
+t(X) :- d1(X).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    engine.store.assert_clause(parse_clause("d1(X) :- d2(X)."))
+    assert answers_of(engine.query("t(X)")) == []
+    engine.store.assert_clause(parse_clause("d2(a)."))
+    assert answers_of(engine.query("t(X)")) == [(("a",), "true")]
+    assert engine.stats.semi_naive == 0
+    assert answers_of(engine.query("t(X)")) == fresh_answers(
+        program, "t(X)", ["d1(X) :- d2(X).", "d2(a)."])
+
+
+def test_cursor_held_across_semi_naive_reeval_keeps_its_view():
+    engine = Engine()
+    engine.consult_text(REACH)
+    base = answers_of(engine.query("reach(X,Y)"))
+    held = engine.query("reach(X,Y)")
+    first = next(held)
+    engine.store.assert_clause(parse_clause("edge(3,1)."))
+    grown = answers_of(engine.query("reach(X,Y)"))
+    assert engine.stats.semi_naive == 1
+    assert len(grown) > len(base)
+    assert answers_of([first] + list(held)) == base
+
+
+def test_semi_naive_table_called_from_another_evaluation():
+    program = REACH + """
+:- table top/2 as incremental.
+top(X,Y) :- reach(X,Y), Y \\= 1.
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    list(engine.query("reach(X,Y)"))
+    engine.store.assert_clause(parse_clause("edge(3,1)."))
+    # top is new: its evaluation re-opens the invalid reach table and must
+    # receive both its old answers and the new ones
+    got = answers_of(engine.query("top(X,Y)"))
+    assert engine.stats.semi_naive == 1
+    assert got == fresh_answers(program, "top(X,Y)", ["edge(3,1)."])
+    assert ((1, 3), "true") in got and ((3, 2), "true") in got
+    assert answers_of(engine.query("reach(X,Y)")) == fresh_answers(
+        program, "reach(X,Y)", ["edge(3,1)."])
+
+
+def test_semi_naive_assert_round_steps():
+    from incrtab.bench import GraphSpec, gen_graph_facts
+
+    program = REACH.replace("edge(1,2). edge(2,3).\n", "")
+    facts = list(gen_graph_facts(GraphSpec(2000, 1000, seed=1)))
+    batch = [f"edge({n},{n + 7})." for n in range(1, 2000, 100)]
+    engine = Engine()
+    engine.consult_text(program + "\n".join(facts) + "\n")
+    list(engine.query("reach(X,Y)"))
+    rounds = []
+    for update in (engine.store.assert_clause, engine.store.retract_clause):
+        for fact in batch:
+            update(parse_clause(fact))
+        steps = engine.stats.steps
+        list(engine.query("reach(X,Y)"))
+        rounds.append(engine.stats.steps - steps)
+    assert engine.stats.semi_naive == 1 and engine.stats.reevals == 2
+    assert rounds[0] <= 0.15 * rounds[1], rounds
+
+
+FALLBACKS = {
+    "tnot": ("""
+:- table t/1, s/1 as incremental.
+:- dynamic e/1, f/1 as incremental.
+s(X) :- f(X).
+t(X) :- e(X), tnot(s(X)).
+e(1). e(2). f(2).
+""", "t(X)", ["e(3)."]),
+    "undefined": ("""
+:- table t/2 as incremental.
+:- dynamic edge/2 as incremental.
+t(X,Y) :- t(X,Z), edge(Z,Y).
+t(X,Y) :- edge(X,Y), undefined.
+edge(1,2).
+""", "t(X,Y)", ["edge(2,3)."]),
+    "cut": ("""
+:- table t/1 as incremental.
+:- dynamic e/1 as incremental.
+t(X) :- e(X), !.
+e(1).
+""", "t(X)", ["e(2)."]),
+    "answer_abstract": ("""
+:- table t/2 as incremental, answer_abstract(3).
+:- dynamic edge/2 as incremental.
+t(X,Y) :- edge(X,Y).
+t(X,Y) :- t(X,Z), edge(Z,Y).
+edge(1,2).
+""", "t(X,Y)", ["edge(2,3)."]),
+    "conditional": ("""
+:- table t/1, u/0 as incremental.
+:- dynamic e/1 as incremental.
+u :- tnot(u).
+t(X) :- e(X), u.
+e(1).
+""", "t(X)", ["e(2)."]),
+    "retract": (REACH, "reach(X,Y)", ["edge(3,1).", "-edge(1,2)."]),
+    "through_table": ("""
+:- table t/1, s/1 as incremental.
+:- dynamic e/1, f/1 as incremental.
+s(X) :- f(X).
+t(X) :- s(X).
+t(X) :- e(X).
+f(1). e(2).
+""", "t(X)", ["f(3).", "e(4)."]),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(FALLBACKS))
+def test_semi_naive_fallbacks(reason):
+    program, goal, updates = FALLBACKS[reason]
+    engine = Engine()
+    engine.consult_text(program)
+    list(engine.query(goal))
+    final = []
+    for update in updates:
+        if update.startswith("-"):
+            engine.store.retract_clause(parse_clause(update[1:]))
+            final.remove(update[1:]) if update[1:] in final else None
+        else:
+            engine.store.assert_clause(parse_clause(update))
+            final.append(update)
+    assert node_of(engine, goal).invalid
+    got = answers_of(engine.query(goal))
+    # through_table: s, invalidated by a leaf only, is re-opened; t is not
+    reopened = 1 if reason == "through_table" else 0
+    assert engine.stats.semi_naive == reopened
+    assert engine.stats.reevals == reopened + 1
+    expected_program = program
+    for update in updates:
+        if update.startswith("-"):
+            expected_program = expected_program.replace(update[1:], "")
+    assert got == fresh_answers(expected_program, goal, final)

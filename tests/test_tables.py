@@ -1,5 +1,6 @@
 import pytest
 
+from incrtab.engine import Engine
 from incrtab.errors import InternalStateError
 from incrtab.program import PredicateDecl
 from incrtab.tables import (
@@ -207,3 +208,25 @@ def test_snapshot_rows():
     rows = space.snapshot()
     assert rows == [{"subgoal": "p(X)", "status": "completed", "answers": 2,
                      "conditional": 1, "occp_num": 0}]
+
+
+def test_live_count_upkeep_is_constant_per_delete(monkeypatch):
+    """Each answer deleted during completion updates its table's IDG count
+    without scanning the table."""
+    n = 2000
+    engine = Engine()
+    engine.consult_text(
+        ":- table p/1, q/1 as incremental.\n:- dynamic e/1 as incremental.\n"
+        "p(X) :- e(X), tnot(q(X)).\nq(X) :- e(X).\n"
+        + "".join(f"e({i}).\n" for i in range(n)))
+    visited = [0]
+    live_answers = Table.live_answers
+
+    def counting(table):
+        for answer in live_answers(table):
+            visited[0] += 1
+            yield answer
+
+    monkeypatch.setattr(Table, "live_answers", counting)
+    assert list(engine.query("p(X)")) == []
+    assert visited[0] < 10 * n, visited[0]

@@ -10,9 +10,20 @@ from collections import Counter
 
 from incrtab.engine import Engine
 from incrtab.parser import parse_clause
-from incrtab.terms import Const
+from incrtab.terms import Const, format_term
 
-from genprog import oracle_rules, program_text, random_program
+from genprog import (
+    fo_atom_text,
+    fo_clause_text,
+    fo_program_text,
+    ground_fo,
+    oracle_rules,
+    program_text,
+    random_fo_dynamic_rule,
+    random_fo_fact,
+    random_fo_program,
+    random_program,
+)
 from oracle import well_founded_model
 
 
@@ -101,3 +112,77 @@ ureach(X,Y) :- edge_1(X,Y).
                     fresh.store.assert_clause(parse_clause(fact))
                 for query in ("reach(X,Y)", "ureach(X,Y)"):
                     assert answers(engine, query) == answers(fresh, query)
+
+
+def _fo_answers(engine, pred, arity, first=None):
+    """{atom text: truth} of the query pred(X) / pred(X,Y), or of pred with
+    its first argument fixed to the constant first."""
+    args = ["X", "Y"][:arity]
+    if first is not None:
+        args[0] = first
+    out = {}
+    for terms, truth in engine.query(f"{pred}({','.join(args)})"):
+        values = iter(format_term(t) for t in terms)
+        ground = [a if a[0].islower() else next(values) for a in args]
+        out[fo_atom_text((pred, tuple(ground)))] = truth
+    return out
+
+
+def _check_fo_state(engine, prog, stored, rng):
+    """Every tabled predicate's open query, and one query with a bound
+    first argument, against the oracle; and the O(1) live counts."""
+    model = well_founded_model(ground_fo(prog, prog.rules + stored))
+    for pred, arity in prog.idb.items():
+        first = rng.choice(prog.consts)
+        expected = {atom: truth for atom, truth in model.items()
+                    if truth != "false" and atom.startswith(pred + "(")}
+        queries = [(None, expected), (first, {
+            atom: truth for atom, truth in expected.items()
+            if atom.startswith(f"{pred}({first},") or atom == f"{pred}({first})"})]
+        rng.shuffle(queries)
+        for bound, want in queries:
+            assert _fo_answers(engine, pred, arity, bound) == want, (
+                fo_program_text(prog), stored, pred, bound)
+    for table in engine.space.tables.values():
+        assert table.live_count() == sum(
+            1 for a in table.answers.values() if not a.deleted)
+
+
+def test_first_order_incremental_agreement():
+    """Random first-order programs under interleaved asserts and retracts of
+    facts and dynamic rules agree with the oracle after every update; at
+    least half of the runs re-open a table (semi-naive re-evaluation)."""
+    runs = reopened = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        prog = random_fo_program(rng, definite=rng.random() < 0.8)
+        engine = Engine()
+        engine.consult_text(fo_program_text(prog))
+        stored = []   # (head, body) of every stored dynamic clause
+        for _ in range(rng.randint(2, 6)):
+            stored.append((random_fo_fact(rng, prog), []))
+            engine.store.assert_clause(parse_clause(fo_clause_text(*stored[-1])))
+        _check_fo_state(engine, prog, stored, rng)
+        for _ in range(rng.randint(4, 10)):
+            roll = rng.random()
+            rules = [c for c in stored if c[1]]
+            if roll < 0.15 and rules:
+                clause = rng.choice(rules)
+            elif roll < 0.35:
+                clause = (random_fo_fact(rng, prog), [])
+                if stored and rng.random() < 0.8:
+                    clause = rng.choice(stored)
+            else:
+                clause = random_fo_dynamic_rule(rng, prog) if roll < 0.45 else None
+                clause = clause or (random_fo_fact(rng, prog), [])
+                engine.store.assert_clause(parse_clause(fo_clause_text(*clause)))
+                stored.append(clause)
+                _check_fo_state(engine, prog, stored, rng)
+                continue
+            token = engine.store.retract_clause(parse_clause(fo_clause_text(*clause)))
+            if token.clause is not None:
+                stored.remove(clause)
+            _check_fo_state(engine, prog, stored, rng)
+        runs += 1
+        reopened += engine.stats.semi_naive > 0
+    assert 2 * reopened >= runs, (reopened, runs)
