@@ -14,8 +14,9 @@ machinery: a call to an invalid table enlists it inside the active
 evaluation, in one of two ways chosen by `Engine._can_reopen`:
 
 - re-opened (semi-naive, after inserts only): a definite table that only
-  leaves invalidated keeps its answers and IDG edges and derives only what
-  uses a newly asserted fact or one of its own new answers;
+  facts asserted through its own call patterns invalidated keeps its
+  answers and IDG edges, and derives only what uses one of those facts
+  (its node's `delta` log) or one of its own new answers;
 - re-derived (every other table): its answers are marked, derived again
   from scratch, and the marked answers not derived again are removed.
 
@@ -88,9 +89,9 @@ from .terms import (
 )
 
 # Call kinds that only a re-opened table's seed continuations hold (see
-# `Engine._reopen`): DELTA resolves against the clauses asserted since the
-# table was last valid, NEW_ANSWERS reads the table's own answers added
-# since it was re-opened.
+# `Engine._reopen`): DELTA resolves against the facts the table's IDG node
+# logged since it was last valid, NEW_ANSWERS reads the table's own answers
+# added since it was re-opened.
 DELTA = "delta"
 NEW_ANSWERS = "new_answers"
 
@@ -321,10 +322,8 @@ class Engine:
         self._driver_counter = 0
         self._reeval_outcomes: dict = {}
         self._abstract_alias: dict = {}
-        self._facts_seen: dict = {}    # pred -> (seq, removals, holds only facts)
         self.store.on_update = self._on_update
         self.space.preserve_hook = cursors.preserve_views
-        self.space.count_hook = self._sync_node_count
 
     # -- plumbing -----------------------------------------------------------
 
@@ -334,11 +333,6 @@ class Engine:
     def _check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise EvaluationTimeout("evaluation deadline exceeded")
-
-    def _sync_node_count(self, table: Table) -> None:
-        node = table.idg_node
-        if node is not None and not table.in_reeval:
-            node.nbr_of_answers = table.live_count()
 
     def _clauses_for(self, goal: Term, env: Optional[dict] = None):
         """Clause iterator used by resolution (respects first-arg indexing)."""
@@ -353,10 +347,13 @@ class Engine:
     def consult_text(self, text: str) -> None:
         """Load a program: directives first, then clauses, each in file
         order.  Stops at the first failing unit, leaving earlier units
-        applied."""
+        applied.  The completed tables of an incremental tabled predicate
+        given static clauses are abolished: a re-opened table would never
+        see those clauses."""
         from .parser import Directive, parse_program
 
         units = parse_program(text)
+        reloaded: set = set()
         for unit in units:
             if isinstance(unit, Directive):
                 for decl in unit.decls:
@@ -374,6 +371,13 @@ class Engine:
                         self.store.store_dynamic_clause(clause)
                 else:
                     self.store.load_clause(clause)
+                    if decl is not None and decl.tabled and decl.incremental \
+                            and pred not in reloaded:
+                        reloaded.add(pred)
+                        for table in [t for t in self.space.tables.values()
+                                      if t.status == COMPLETED
+                                      and functor_of(t.subgoal) == pred]:
+                            self.abolish_table(table.subgoal)
 
     def consult_file(self, path: str) -> None:
         with open(path, "r", encoding="utf-8") as handle:
@@ -487,9 +491,11 @@ class Engine:
             token.affected_leaves = []
             self.last_invalid_list = []
             return []
-        leaves = self.idg.leaves_matching(pred, token.clause.head)
+        clause = token.clause
+        leaves = self.idg.leaves_matching(pred, clause.head)
         token.affected_leaves = leaves
-        invalid = self.idg.invalidate_from(leaves)
+        fact = clause if token.op == "assert" and not clause.body else None
+        invalid = self.idg.invalidate_from(leaves, fact)
         self.stats.invalidations += 1
         self.last_invalid_list = invalid
         return invalid
@@ -516,7 +522,8 @@ class Engine:
         table = node.table
         if node.falsecount == 0:
             node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
-            return ReevalOutcome(False, node.nbr_of_answers, node.nbr_of_answers)
+            count = table.live_count()
+            return ReevalOutcome(False, count, count)
         self._evaluate(self._begin_reeval, table)
         return self._reeval_outcomes.pop(table.serial)
 
@@ -557,71 +564,44 @@ class Engine:
         self.idg.clear_dependencies(node)
         evaluation.seed(table)
 
-    def _delta_marks(self, table: Table) -> Optional[dict]:
-        """The `IdgNode.delta_marks` of a table just completed: None unless
-        it has no answer or subgoal abstraction and its clauses are
-        definite, each positive literal calling a tabled or a dynamic
-        predicate (a non-tabled static one would be inlined, hiding new facts)."""
+    def _can_reopen(self, table: Table) -> bool:
+        """The one test for semi-naive re-evaluation: its node's `delta`
+        is a list, so only facts asserted through its call patterns
+        invalidated it; it has no answer or subgoal abstraction; its clauses
+        are definite, each positive literal calling a tabled or a dynamic
+        predicate (a non-tabled static one would be inlined, hiding new
+        facts); no dynamic predicate they call holds a rule (it would be
+        inlined too); and it has no conditional answer."""
         decl = table.decl
-        if decl is None or decl.answer_abstraction is not None \
+        if table.idg_node.delta is None or decl is None \
+                or decl.answer_abstraction is not None \
                 or decl.subgoal_abstraction is not None:
-            return None
-        marks: dict = {}
+            return False
         for clause in self._clauses_for(table.subgoal):
             for lit in clause.body:
                 if lit.kind in (TNOT, SK_NOT, UNDEFINED, CUT):
-                    return None
+                    return False
                 if lit.kind != POS:
                     continue
                 if type(lit.atom) is Var:
-                    return None
+                    return False
                 pred = functor_of(lit.atom)
                 ref = self.store.decl_of(pred)
-                if ref is None or not (ref.tabled or ref.dynamic):
-                    return None
-                if ref.dynamic:
-                    index = self.store.dynamic[pred]
-                    marks[pred] = (index._seq, index.removed)
-        return marks
-
-    def _only_facts(self, pred: tuple) -> bool:
-        """Whether dynamic pred holds no rule.  Reads only the clauses stored
-        since the last call for pred, unless it held a rule that may since
-        have been retracted."""
-        index = self.store.dynamic[pred]
-        seq, removed, only = self._facts_seen.get(pred, (0, 0, True))
-        if not only and removed != index.removed:
-            seq, only = 0, True
-        only = only and not any(clause.body for _, clause in index.since(seq))
-        self._facts_seen[pred] = (index._seq, index.removed, only)
-        return only
-
-    def _can_reopen(self, table: Table) -> bool:
-        """The one test for semi-naive re-evaluation: the table has
-        `delta_marks`; only leaves invalidated it; every dynamic predicate
-        its clauses call lost no clause since it was last valid and holds
-        only facts (a stored rule is inlined, hiding new facts); and it has no
-        conditional answer."""
-        node = table.idg_node
-        marks = node.delta_marks
-        if marks is None or node.via_node:
-            return False
-        dynamic = self.store.dynamic
-        for pred, (_, removed) in marks.items():
-            if dynamic[pred].removed != removed or not self._only_facts(pred):
-                return False
+                if ref is None or not (ref.tabled or ref.dynamic) \
+                        or self.store.rules.get(pred):
+                    return False
         return all(answer.unconditional for answer in table.answers.values())
 
     def _reopen(self, evaluation: Evaluation, table: Table) -> None:
         """Semi-naive re-evaluation after inserts (Bancilhon & Ramakrishnan,
         SIGMOD 1986): keep the table's answers and IDG edges, and derive
-        only what uses a clause asserted since it was last valid (a delta
-        clause) or one of its own new answers.  Each clause gets one
-        continuation per body literal that calls a predicate with delta
-        clauses (made a DELTA call) or the table's own (a NEW_ANSWERS
-        call); the other literals stay ordinary calls, so every derivation
-        through a delta clause or a new answer is found.  Answers are only
-        appended, so open cursors keep their views."""
+        only what uses a fact its node's `delta` logged (a delta clause) or
+        one of its own new answers.  Each clause gets one continuation per
+        body literal that calls a predicate with delta clauses (made a
+        DELTA call) or the table's own (a NEW_ANSWERS call); the other
+        literals stay ordinary calls, so every derivation through a delta
+        clause or a new answer is found.  Answers are only appended, so
+        open cursors keep their views."""
         node = table.idg_node
         self.stats.semi_naive += 1
         for child in node.dependent_edges:
@@ -629,12 +609,9 @@ class Engine:
             child.affected_edges[node] = False
         evaluation.manage(table)
         evaluation.delivery_log[table.serial].extend(table.answers)
-        for pred, (seq, _) in node.delta_marks.items():
-            added = self.store.dynamic[pred].since(seq)
-            if added:
-                delta = evaluation.deltas[(table.serial, pred)] = Arg1Index()
-                for _, clause in added:
-                    delta.add(clause.head, clause)
+        for fact in node.delta:
+            key = (table.serial, functor_of(fact.head))
+            evaluation.deltas.setdefault(key, Arg1Index()).add(fact.head, fact)
         own = functor_of(table.subgoal)
         for clause in self._clauses_for(table.subgoal):
             head, body = clause.rename()
@@ -663,10 +640,9 @@ class Engine:
             node.new_answer = True
         new_count = table.live_count()
         old_count = node.previous_count
-        node.nbr_of_answers = new_count
         table.in_reeval = False
         node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
-        node.via_node = False
+        node.delta = []
         changed = node.new_answer or new_count != old_count
         if changed:
             self.idg.clear_contributions(node)
@@ -991,14 +967,8 @@ class Engine:
             evaluation.managed.pop(table.serial, None)
         self._residual_reduction(tables, in_scc)
         for table in tables:
-            node = table.idg_node
-            if node is None:
-                continue
-            node.delta_marks = self._delta_marks(table)
             if table.in_reeval:
                 self._finish_reeval(table)
-            else:
-                node.nbr_of_answers = table.live_count()
 
     def _residual_reduction(self, tables: list, in_scc: set) -> None:
         """Settle the conditional answers of a completed component to their

@@ -33,18 +33,18 @@ class IdgNode:
     """Node for an incremental tabled subgoal.
 
     Edge dicts are insertion-ordered; sibling order in traversals is edge
-    insertion order, pinned by golden tests.  `via_node` tells whether an
-    invalidation reached the node from another node (not a leaf) since it
-    was last valid; `delta_marks` holds, from its last completion, the
-    (last seq, removals) of the clause index of each dynamic predicate its
-    clauses call, or None when its table cannot be re-opened.  The engine
-    reads both to choose semi-naive re-evaluation.
+    insertion order, pinned by golden tests.  `delta` logs what changed for
+    the node since it was last valid: the facts asserted since then that
+    matched one of its leaves, each once, in assert order; or None once
+    anything else invalidated it (a retract or a rule matching one of its
+    leaves, another node, `abolish_table` or the unwinding of a failed
+    evaluation).  Only `Idg.invalidate_from` writes it; the engine reads it
+    to choose semi-naive re-evaluation.
     """
 
     __slots__ = (
         "serial", "table", "affected_edges", "dependent_edges",
-        "nbr_of_answers", "previous_count", "new_answer", "falsecount",
-        "reeval_ready", "via_node", "delta_marks",
+        "previous_count", "new_answer", "falsecount", "reeval_ready", "delta",
     )
 
     def __init__(self, serial: int, table):
@@ -52,13 +52,11 @@ class IdgNode:
         self.table = table
         self.affected_edges: dict = {}     # nodes that depend on this one
         self.dependent_edges: dict = {}    # nodes/leaves this one depends on
-        self.nbr_of_answers = 0
         self.previous_count: Optional[int] = None
         self.new_answer = False
         self.falsecount = 0
         self.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
-        self.via_node = False
-        self.delta_marks: Optional[dict] = None
+        self.delta: Optional[list] = []
 
     @property
     def invalid(self) -> bool:
@@ -166,8 +164,9 @@ class Idg:
 
     # -- invalidation -----------------------------------------------------
 
-    def invalidate_from(self, leaves) -> list:
-        """Depth-first falsecount invalidation from updated leaves.
+    def invalidate_from(self, leaves, fact=None) -> list:
+        """Depth-first falsecount invalidation from updated leaves (or from
+        the nodes of dropped tables).
 
         Each traversed edge carries at most one pending contribution
         (affected_edges maps parent -> contributed flag), so decrements in
@@ -175,7 +174,8 @@ class Idg:
         the invalid list: affected table nodes in traversal order, whose
         in-order drain updates tables bottom-up.  Self-loop edges do not
         contribute (a table cannot invalidate itself).  A node reached from
-        a node, not a leaf, is marked `via_node`.
+        a leaf logs fact, the asserted fact, in its `delta`; one reached
+        from a node, or from a leaf without a fact, gets a `delta` of None.
         """
         invalid_list: list = []
         for leaf in leaves:
@@ -192,8 +192,11 @@ class Idg:
                     raise PermissionViolation(
                         "update affects the incomplete table "
                         f"{format_term(aff.table.subgoal)}")
-                if type(origin) is IdgNode:
-                    aff.via_node = True
+                delta = aff.delta
+                if origin is not leaf or fact is None:
+                    aff.delta = None
+                elif delta is not None and (not delta or delta[-1] is not fact):
+                    delta.append(fact)
                 transitioned = False
                 if not origin.affected_edges.get(aff, False):
                     origin.affected_edges[aff] = True
@@ -220,7 +223,7 @@ class Idg:
                 aff.falsecount -= 1
                 if aff.falsecount == 0 and not aff.table.in_reeval:
                     aff.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
-                    aff.via_node = False
+                    aff.delta = []
                     stack.append(aff)
 
     def clear_contributions(self, node: IdgNode) -> None:

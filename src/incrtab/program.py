@@ -115,6 +115,7 @@ class ProgramStore:
         self.decls: dict = {}     # (name, arity) -> PredicateDecl
         self.static: dict = {}    # (name, arity) -> Arg1Index of Clause
         self.dynamic: dict = {}   # (name, arity) -> Arg1Index of Clause
+        self.rules: dict = {}     # (name, arity) -> number of its dynamic rules
         self.on_update = None     # hook installed by the engine
 
     # -- declarations --------------------------------------------------
@@ -221,8 +222,13 @@ class ProgramStore:
         if not decl.dynamic:
             raise PermissionViolation(f"{decl.indicator} is not dynamic")
         self._validate_body(decl, clause)
-        self.dynamic[pred].add(clause.head, clause)
+        self._add_dynamic(pred, clause)
         return decl
+
+    def _add_dynamic(self, pred: tuple, clause: Clause) -> None:
+        self.dynamic[pred].add(clause.head, clause)
+        if clause.body:
+            self.rules[pred] = self.rules.get(pred, 0) + 1
 
     def assert_clause(self, clause: Clause) -> UpdateToken:
         pred = functor_of(clause.head)
@@ -236,7 +242,7 @@ class ProgramStore:
         # Invalidate before storing, so that a failed update changes nothing.
         if self.on_update is not None:
             self.on_update(token)
-        self.dynamic[pred].add(clause.head, clause)
+        self._add_dynamic(pred, clause)
         return token
 
     def retract_clause(self, clause: Clause) -> UpdateToken:
@@ -260,6 +266,8 @@ class ProgramStore:
         if self.on_update is not None:
             self.on_update(token)
         index.remove(key, pos)
+        if stored.body:
+            self.rules[pred] -= 1
         return token
 
     # -- resolution feed -------------------------------------------------

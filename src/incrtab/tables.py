@@ -195,7 +195,6 @@ class TableSpace:
         self.tables: dict = {}        # canonical subgoal key -> Table
         self.backrefs: dict = {}      # registry key -> list[(table, answer, dlist, literal)]
         self.preserve_hook = None     # set by the engine: preserve cursor views
-        self.count_hook = None        # set by the engine: sync idg answer counts
         self.stats = {
             "simplifications": 0,
             "strengthened": 0,
@@ -322,7 +321,6 @@ class TableSpace:
                 self.stats["simplifications"] += 1
             self._queue(("false", table, answer))
         self._run_events()
-        self._sync_count(table)
         return removed, weakened
 
     # -- simplification ----------------------------------------------------
@@ -364,11 +362,6 @@ class TableSpace:
             table._live -= 1
         self.stats["simplify_deleted"] += 1
         self._queue(("false", table, answer))
-        self._sync_count(table)
-
-    def _sync_count(self, table: Table) -> None:
-        if self.count_hook is not None:
-            self.count_hook(table)
 
     def _queue(self, event) -> None:
         self._event_queue.append(event)

@@ -7,7 +7,6 @@ apart by allocating fresh Var objects.
 
 from __future__ import annotations
 
-from itertools import takewhile
 from operator import is_
 from typing import Optional, Union
 
@@ -136,16 +135,14 @@ def arg1_key(t: Term, env: Optional[Subst] = None):
 class Arg1Index:
     """Items in insertion order, each filed under the `arg1_key` of the atom
     it was added with; buckets hold (seq, item) pairs in insertion order.
-    `_seq` is the seq of the last item added and `removed` counts removals,
-    so together they tell whether the items changed since they were read."""
+    `_seq` is the seq of the last item added."""
 
-    __slots__ = ("items", "buckets", "_seq", "removed")
+    __slots__ = ("items", "buckets", "_seq")
 
     def __init__(self):
         self.items: dict = {}    # seq -> item
         self.buckets: dict = {}  # arg1 key (None: unbound) -> [(seq, item)]
         self._seq = 0
-        self.removed = 0
 
     def add(self, atom: Term, item) -> None:
         self._seq = seq = self._seq + 1
@@ -168,18 +165,11 @@ class Arg1Index:
             return open_first
         return sorted(keyed + open_first)
 
-    def since(self, seq: int) -> list:
-        """(seq, item) pairs added after seq, in insertion order, read from
-        the end."""
-        return list(takewhile(lambda pair: pair[0] > seq,
-                              reversed(self.items.items())))[::-1]
-
     def remove(self, key, pos: int) -> None:
         """Remove the entry at position pos of the bucket filed under key."""
         bucket = self.buckets[key]
         seq, _ = bucket.pop(pos)
         del self.items[seq]
-        self.removed += 1
 
 
 def _rebuild(t: Term, leaf, env: Optional[Subst] = None) -> Term:

@@ -205,6 +205,74 @@ def test_idg_stats_empty_engine():
                                   "invalid": 0}
 
 
+# -- the per-node delta log ---------------------------------------------------
+
+P_DELTA = """
+:- table a/1, b/1, c/1 as incremental.
+:- dynamic p/1, q/1 as incremental.
+a(X) :- p(X).
+b(X) :- p(X), p(1).
+c(X) :- a(X).
+p(2).
+"""
+
+
+def delta_engine():
+    """Nodes a(X) (leaf p(X)), b(X) (leaves p(X) and p(1)) and c(X),
+    which depends on a(X) only."""
+    engine = Engine()
+    engine.consult_text(P_DELTA)
+    for goal in ("a(X)", "b(X)", "c(X)"):
+        list(engine.query(goal))
+    return engine, {format_term(n.table.subgoal): n
+                    for n in engine.idg.nodes.values()}
+
+
+def test_assert_logs_the_fact_once_in_each_node_it_reaches_from_a_leaf():
+    engine, nodes = delta_engine()
+    assert all(node.delta == [] for node in nodes.values())
+    first = parse_clause("p(1).")
+    engine.store.assert_clause(first)   # two leaves of b(X) match it
+    assert nodes["a(X)"].delta == [first] and nodes["b(X)"].delta == [first]
+    assert nodes["c(X)"].delta is None  # reached from a(X), a node
+    second = parse_clause("p(3).")
+    engine.store.assert_clause(second)  # a(X) is invalid already
+    assert nodes["a(X)"].delta == [first, second]
+    assert nodes["b(X)"].delta == [first, second]
+
+
+@pytest.mark.parametrize("update", ["retract", "rule", "abolish"])
+def test_other_invalidations_clear_the_log(update):
+    engine, nodes = delta_engine()
+    if update == "abolish":
+        # c(X) is reached from the node of the abolished table
+        engine.abolish_table(nodes["a(X)"].table.subgoal)
+        cleared = ["c(X)"]
+    else:
+        engine.store.assert_clause(parse_clause("p(4)."))
+        if update == "retract":
+            engine.store.retract_clause(parse_clause("p(2)."))
+        else:
+            engine.store.assert_clause(parse_clause("p(X) :- q(X)."))
+        cleared = ["a(X)", "b(X)"]
+    assert [nodes[name].delta for name in cleared] == [None] * len(cleared)
+
+
+def test_revalidation_resets_the_log():
+    engine, nodes = delta_engine()
+    engine.store.assert_clause(parse_clause("p(2)."))  # a duplicate
+    assert nodes["c(X)"].delta is None
+    list(engine.query("a(X)"))
+    # a(X) finished its re-evaluation unchanged; propagate_validity made
+    # c(X) valid again
+    assert nodes["a(X)"].delta == [] and not nodes["c(X)"].invalid
+    assert nodes["c(X)"].delta == []
+    engine.store.retract_clause(parse_clause("p(2)."))
+    assert nodes["b(X)"].delta is None
+    list(engine.query("b(X)"))
+    assert nodes["b(X)"].delta == []
+
+
 # -- first-argument leaf index ---------------------------------------------------
 
 _CONSTS = [Const(1), Const("1"), Const(2), Const("a")]

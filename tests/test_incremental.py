@@ -520,6 +520,45 @@ t(X) :- d1(X).
     assert engine.stats.semi_naive == 0
     assert answers_of(engine.query("t(X)")) == fresh_answers(
         program, "t(X)", ["d1(X) :- d2(X).", "d2(a)."])
+    # with the rule gone, d1 holds only facts again: re-opened
+    engine.store.retract_clause(parse_clause("d1(X) :- d2(X)."))
+    assert answers_of(engine.query("t(X)")) == []
+    engine.store.assert_clause(parse_clause("d1(b)."))
+    assert answers_of(engine.query("t(X)")) == fresh_answers(
+        program, "t(X)", ["d2(a).", "d1(b)."])
+    assert engine.stats.semi_naive == 1
+
+
+def test_retract_matching_no_leaf_keeps_the_table_reopenable():
+    program = REACH + "edge(7,8).\n"
+    engine = Engine()
+    engine.consult_text(program)
+    list(engine.query("reach(1,Y)"))
+    engine.store.assert_clause(parse_clause("edge(3,4)."))
+    # reach(1,Y) never called edge(7,_)
+    engine.store.retract_clause(parse_clause("edge(7,8)."))
+    got = answers_of(engine.query("reach(1,Y)"))
+    assert engine.stats.semi_naive == 1
+    assert got == fresh_answers(program.replace("edge(7,8).", ""), "reach(1,Y)",
+                                ["edge(3,4)."])
+
+
+def test_consult_abolishes_tables_given_static_clauses():
+    program = """
+:- table t/1 as incremental.
+:- dynamic e/1 as incremental.
+t(X) :- e(X).
+e(1).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("t(X)")) == [((1,), "true")]
+    engine.consult_text("t(9).")
+    assert answers_of(engine.query("t(X)")) == fresh_answers(
+        program + "t(9).\n", "t(X)") == [((1,), "true"), ((9,), "true")]
+    engine.store.assert_clause(parse_clause("e(2)."))
+    assert answers_of(engine.query("t(X)")) == [
+        ((1,), "true"), ((2,), "true"), ((9,), "true")]
 
 
 def test_cursor_held_across_semi_naive_reeval_keeps_its_view():

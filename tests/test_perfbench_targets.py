@@ -1,9 +1,13 @@
 """The benchmark tracer (`perfbench/tracing.py`) replaces engine functions
-by name; a rename in `src/` must fail here, not only in the slower
+by name and wraps the table space's `preserve_hook`; a rename or a dropped
+hook in `src/` must fail here, not only in the slower
 `python -m pytest perfbench`."""
 
 import importlib.util
 from pathlib import Path
+
+from incrtab import cursors
+from incrtab.engine import Engine
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -22,3 +26,7 @@ def test_every_traced_name_is_defined_on_its_owner():
     missing = [(owner.__name__, attr) for owner, attr, *_ in targets
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_the_traced_instance_hook_is_installed():
+    assert Engine().space.preserve_hook is cursors.preserve_views
