@@ -22,6 +22,13 @@ evaluation, in one of two ways chosen by `Engine._can_reopen`:
 
 Either way `_finish_reeval` compares the answers before and after, and the
 IDG propagates validity when nothing changed.
+
+Each call and answer is paid again by every lazy re-evaluation, so the call
+path does each job once: a dynamic call finds its IDG leaf by key and a
+tabled call its table, and either adds its IDG edge only when it is
+missing; a derived answer's canonical key is computed once, for the table
+and the delivery log; and a selected rule or non-ground fact is renamed
+apart (a ground fact is unified as stored), then head-unified once.
 """
 
 from __future__ import annotations
@@ -794,18 +801,17 @@ class Engine:
                     f"incremental table calls non-incremental dynamic {decl.indicator}")
         pending = evaluation.pending
         for clause in self._clauses_for(root, env):
-            if not clause.body:
-                env2 = dict(env)
-                if unify_in(root, clause.rename()[0], env2):
-                    pending.append(Continuation(
-                        owner, literals, idx + 1, env2, delays, cont.committed))
-                continue
             head, body = clause.rename()
             env2 = dict(env)
-            if unify_in(root, head, env2):
+            if not unify_in(root, head, env2):
+                continue
+            if body:
                 pending.append(Continuation(
                     owner, literals[:idx] + tuple(body) + literals[idx + 1:],
                     idx, env2, delays, cont.committed))
+            else:
+                pending.append(Continuation(
+                    owner, literals, idx + 1, env2, delays, cont.committed))
 
     def _call_delta(self, evaluation: Evaluation, cont: Continuation,
                     atom: Term, idx: int, env: dict, delays: tuple) -> None:
@@ -842,7 +848,8 @@ class Engine:
         node = owner.idg_node
         if decl.incremental and node is not None:
             leaf = self.idg.register_dynamic_leaf(atom, decl, env)
-            self.idg.register_call_edge(leaf, node)
+            if node not in leaf.affected_edges:
+                self.idg.register_call_edge(leaf, node)
 
     def _provider_table(self, evaluation: Evaluation, owner: Table,
                         atom: Term, env: Optional[dict], decl: PredicateDecl) -> Table:
@@ -864,7 +871,7 @@ class Engine:
         if decl.incremental:
             node = self.idg.node_for(table)
             parent = owner.idg_node
-            if parent is not None:
+            if parent is not None and parent not in node.affected_edges:
                 self.idg.register_call_edge(node, parent)
         elif owner.decl is not None and owner.decl.incremental:
             raise PermissionViolation(
@@ -943,10 +950,11 @@ class Engine:
             terms, forced = self._abstract_answer(terms, decl.answer_abstraction)
             if forced:
                 delays = delays + (DelayLiteral(RESTRAINT),)
-        status = self.space.add_answer(owner, terms, list(delays))
+        key = canonical_tuple_key(terms)
+        status = self.space.add_answer(owner, key, terms, list(delays))
         self.stats.answers += 1
         if status in (NEW_SUBSTITUTION, UNDELETED):
-            evaluation.log_delivery(owner, canonical_tuple_key(terms))
+            evaluation.log_delivery(owner, key)
             if owner.in_reeval and status == NEW_SUBSTITUTION:
                 owner.idg_node.new_answer = True
 

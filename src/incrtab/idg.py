@@ -7,6 +7,15 @@ tests only the leaves whose first argument can unify with that of the
 updated clause head: those with the same key and those with a variable
 first argument.  A leaf that loses its last affected edge is dropped when
 the evaluation that detached it finishes, unless a call re-attached it.
+
+Every dynamic incremental call looks its leaf up by key in
+`register_dynamic_leaf`: the call's canonical key, or under `abstract(0)`
+the key `abstract0_key` computes in one pass over the arguments (that
+pattern depends only on which arguments are unbound variables and how they
+alias).  The pattern is built only when the leaf is new.  The engine adds a
+leaf -> node or node -> node edge only when the child does not have it yet,
+so each dependency is registered once, and a dropped leaf is simply made
+again by the next call that needs it.
 """
 
 from __future__ import annotations
@@ -16,13 +25,16 @@ from typing import Optional
 from .errors import InternalStateError, PermissionViolation
 from .terms import (
     Arg1Index,
+    Struct,
     Term,
+    Var,
     abstract_depth,
     arg1_key,
     canonical_key,
     format_term,
     resolve,
     unify_in,
+    walk,
 )
 
 COMPUTE_DEPENDENCIES_FIRST = "compute_dependencies_first"
@@ -107,19 +119,24 @@ class Idg:
         parent.dependent_edges.setdefault(child)
 
     def register_dynamic_leaf(self, goal: Term, decl, env=None) -> DynamicLeaf:
+        """The leaf of a dynamic call, made on first use.  Its key costs
+        one `canonical_key` of the call, or one pass over the arguments
+        under `abstract(0)`; the pattern is built only for a new leaf."""
         pred = (decl.name, decl.arity)
         bucket = self.leaves.setdefault(pred, {})
-        if decl.idg_abstraction is not None:
-            resolved = resolve(goal, env) if env else goal
-            pattern, _ = abstract_depth(resolved, decl.idg_abstraction)
-            key = canonical_key(pattern)
-        else:
-            pattern = None
+        depth = decl.idg_abstraction
+        pattern = None
+        if depth is None:
             key = canonical_key(goal, env)
+        elif depth == 0:
+            key = abstract0_key(goal, env)
+        else:
+            pattern = _leaf_pattern(goal, depth, env)
+            key = canonical_key(pattern)
         leaf = bucket.get(key)
         if leaf is None:
             if pattern is None:
-                pattern = resolve(goal, env) if env else goal
+                pattern = _leaf_pattern(goal, depth, env)
             self._serial += 1
             leaf = DynamicLeaf(self._serial, pattern, pred, key)
             bucket[key] = leaf
@@ -281,3 +298,30 @@ class Idg:
                          else format_term(dep.table.subgoal))
                 lines.append(f"{child} -> {format_term(node.table.subgoal)}")
         return sorted(lines)
+
+
+def _leaf_pattern(goal: Term, depth: Optional[int], env) -> Term:
+    """The call resolved, then abstracted below depth when one is given."""
+    pattern = resolve(goal, env) if env else goal
+    return pattern if depth is None else abstract_depth(pattern, depth)[0]
+
+
+def abstract0_key(goal: Term, env=None):
+    """`canonical_key(abstract_depth(resolve(goal, env), 0)[0])` in one pass
+    over the arguments of the atom goal: an argument bound to anything but
+    an unbound variable becomes a fresh variable, and unbound ones keep
+    their aliasing, so `e(X,X)` and `e(X,Y)` differ and `e(a,b)` is
+    `e(X,Y)`."""
+    if type(goal) is not Struct:
+        return goal.value
+    key = ["s", goal.functor, len(goal.args)]
+    numbering: dict = {}
+    count = 0         # variables numbered so far, fresh ones included
+    for a in goal.args:
+        if env:
+            a = walk(a, env)
+        n = numbering.setdefault(a, count) if type(a) is Var else count
+        if n == count:
+            count += 1
+        key.append(("v", n))
+    return tuple(key)

@@ -71,6 +71,10 @@ class Clause:
         self.body = body
 
     def rename(self) -> tuple:
+        """Head and body with the variables renamed apart; a ground fact,
+        which has none, comes back as stored."""
+        if not self.body and self.head.ground:
+            return self.head, self.body
         return rename_clause(self.head, self.body)
 
     def __repr__(self) -> str:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .errors import InternalStateError
-from .terms import (
+from .terms import (  # noqa: F401 -- perfbench/tracing.py wraps canonical_tuple_key here
     Term,
     apply,
     canonical_key,
@@ -244,13 +244,13 @@ class TableSpace:
 
     # -- answer store ------------------------------------------------------
 
-    def add_answer(self, table: Table, terms: tuple, delays) -> str:
-        """Record one derived answer; delays is a list of DelayLiteral
+    def add_answer(self, table: Table, key: tuple, terms: tuple, delays) -> str:
+        """Record one derived answer, filed under key, the
+        `canonical_tuple_key` of terms; delays is a list of DelayLiteral
         (empty for an unconditional derivation)."""
         if table.status == COMPLETED and not table.in_reeval:
             raise InternalStateError(
                 f"answer added to completed table {format_term(table.subgoal)}")
-        key = canonical_tuple_key(terms)
         existing = table.answers.get(key)
         if existing is None:
             answer = Answer(terms, key)

@@ -7,7 +7,7 @@ from incrtab.errors import (
     PermissionViolation,
 )
 from incrtab.parser import parse_clause
-from incrtab.terms import Const, Var, mk
+from incrtab.terms import Const, Var, format_term, mk
 
 from oracle import well_founded_model
 
@@ -390,3 +390,53 @@ def test_serials_are_per_engine():
                                 ("t_1(X)", 1, 1)]
     assert conditional["tables"][0][0] == 1 and conditional["nodes"] == []
     assert any(delays for _, delays in conditional["delays"])
+
+
+# -- clause renaming: only clauses with variables are renamed -----------------------
+
+TWICE = {
+    "static": ":- table p/2.\ne(X, f(X)).\n",
+    "dynamic": ":- table p/2.\n:- dynamic e/2.\ne(X, f(X)).\n",
+}
+
+
+@pytest.mark.parametrize("code", sorted(TWICE))
+def test_non_ground_fact_used_twice_keeps_its_variables_apart(code):
+    engine = Engine()
+    engine.consult_text(TWICE[code] + "p(A,C) :- e(A,B), e(B,C).\n")
+    assert answers_of(engine.query("p(1,C)")) == [(("f(f(1))",), "true")]
+
+
+def test_non_ground_delta_fact_keeps_its_variables_apart():
+    engine = Engine()
+    engine.consult_text(":- table p/2 as incremental.\n"
+                        ":- dynamic e/2 as incremental.\n"
+                        "p(A,C) :- e(A,B), e(B,C).\n"
+                        "e(0,0).\n")
+    assert answers_of(engine.query("p(1,C)")) == []
+    engine.store.assert_clause(parse_clause("e(X, f(X))."))
+    assert answers_of(engine.query("p(1,C)")) == [(("f(f(1))",), "true")]
+    assert engine.stats.semi_naive == 1
+
+
+def test_ground_facts_are_resolved_without_renaming(monkeypatch):
+    import incrtab.program
+
+    renamed = []
+    original = incrtab.program.rename_clause
+
+    def counting_rename_clause(head, body):
+        renamed.append(head)
+        return original(head, body)
+
+    monkeypatch.setattr(incrtab.program, "rename_clause", counting_rename_clause)
+    engine = Engine()
+    engine.consult_text(":- table e/2, p/1.\n"
+                        ":- dynamic d/2.\n"
+                        "e(1,2). e(1,3). e(2,4).\n"
+                        "d(1,5). d(1,6).\n"
+                        "p(Y) :- e(1,X), d(1,Y).\n")
+    assert answers_of(engine.query("e(1,X)")) == [((2,), "true"), ((3,), "true")]
+    assert renamed == []
+    assert answers_of(engine.query("p(Y)")) == [((5,), "true"), ((6,), "true")]
+    assert [format_term(head) for head in renamed] == ["p(Y)"]  # the rule only

@@ -7,11 +7,22 @@ import incrtab.program
 from incrtab import bench, programs
 from incrtab.engine import Engine
 from incrtab.errors import InternalStateError, PermissionViolation
-from incrtab.idg import COMPUTE_DEPENDENCIES_FIRST, COMPUTE_DIRECTLY, Idg
+from incrtab.idg import COMPUTE_DEPENDENCIES_FIRST, COMPUTE_DIRECTLY, Idg, abstract0_key
 from incrtab.parser import parse_clause
 from incrtab.program import PredicateDecl
 from incrtab.tables import COMPLETED, TableSpace
-from incrtab.terms import Const, Struct, Var, arg1_key, format_term, mk, unify
+from incrtab.terms import (
+    Const,
+    Struct,
+    Var,
+    abstract_depth,
+    arg1_key,
+    canonical_key,
+    format_term,
+    mk,
+    resolve,
+    unify,
+)
 
 P_INC = """
 :- table t_1/1, t_2/1, t_4/1, t_5/1 as incremental.
@@ -399,3 +410,140 @@ def test_leaves_without_affected_edges_are_dropped():
     head = mk("edge", base[0].pattern.args[0], Var("Y"))
     assert engine.idg.leaves_matching(pred, head) == [
         leaf for leaf in base if unify(leaf.pattern, head) is not None]
+
+
+# -- registration: the abstract(0) leaf key and registering once -------------------
+
+def _general_abstract0_key(goal, env=None):
+    return canonical_key(abstract_depth(resolve(goal, env or {}), 0)[0])
+
+
+@st.composite
+def _bound_goal(draw):
+    """An atom of arity 0 to 4 over the variables V0..V2, with an acyclic env
+    binding some of them: Vi only to a constant, a compound or a later Vj."""
+    variables = [Var(f"V{i}") for i in range(3)]
+
+    def term(pool, depth):
+        choices = ["const"] + (["var", "var"] if pool else []) + (["struct"] if depth else [])
+        kind = draw(st.sampled_from(choices))
+        if kind == "const":
+            return draw(st.sampled_from(_CONSTS))
+        if kind == "var":
+            return draw(st.sampled_from(pool))
+        width = draw(st.integers(1, 2))
+        return Struct(draw(st.sampled_from(["f", "g"])),
+                      tuple(term(pool, depth - 1) for _ in range(width)))
+
+    env = {}
+    for i, v in enumerate(variables):
+        if draw(st.booleans()):
+            env[v] = term(variables[i + 1:], 2)
+    arity = draw(st.integers(0, 4))
+    if arity == 0:
+        return Const("e"), env
+    return Struct("e", tuple(term(variables, 2) for _ in range(arity))), env
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bound_goal())
+def test_abstract0_key_equals_the_general_path(goal_env):
+    goal, env = goal_env
+    assert abstract0_key(goal, env) == _general_abstract0_key(goal, env)
+    assert abstract0_key(resolve(goal, env)) == _general_abstract0_key(goal, env)
+
+
+def test_abstract0_key_keeps_aliasing_of_unbound_arguments():
+    X, Y, Z = Var("X"), Var("Y"), Var("Z")
+    keys = {text: abstract0_key(goal, {Z: X}) for text, goal in [
+        ("e(X,X)", mk("e", X, X)), ("e(X,Y)", mk("e", X, Y)),
+        ("e(X,Z)", mk("e", X, Z)), ("e(a,b)", mk("e", "a", "b")),
+        ("e(f(X),X)", mk("e", mk("f", X), X)), ("e", Const("e")),
+        ("e(X,X,a)", mk("e", X, X, "a")), ("e(X,X,Y)", mk("e", X, X, Y))]}
+    assert keys["e(X,X)"] == keys["e(X,Z)"] != keys["e(X,Y)"]
+    assert keys["e(X,X,a)"] == keys["e(X,X,Y)"] == ("s", "e", 3, ("v", 0), ("v", 0), ("v", 1))
+    assert keys["e(a,b)"] == keys["e(X,Y)"] == keys["e(f(X),X)"]
+    assert keys["e"] == "e"
+
+
+ABSTRACT0 = """
+:- table t/2 as incremental.
+:- dynamic e/2, z/0 as incremental, abstract(0).
+t(X,Y) :- e(X,X), e(X,Y).
+t(X,Y) :- e(X,Y), e(Y,f(X)).
+t(X,Y) :- z, e(g(X),Y).
+e(1,1). e(1,2). e(2,f(1)). e(g(3),4). e(g(3),3).
+z.
+"""
+
+
+def _abstract0_engine():
+    engine = Engine()
+    engine.consult_text(ABSTRACT0)
+    answers = sorted(format_term(Struct("t", terms)) for terms, _ in engine.query("t(X,Y)"))
+    return engine, answers
+
+
+def test_abstract0_calls_register_the_same_leaves_and_edges(monkeypatch):
+    engine, answers = _abstract0_engine()
+    assert answers == ["t(1,1)", "t(1,2)", "t(3,3)", "t(3,4)"]
+    assert engine.idg.dump_edges() == [
+        "e(X,X) -> t(X,Y)",
+        "e(X,Y) -> t(X,Y)",
+        "z -> t(X,Y)",
+    ]
+    assert engine.idg.stats() == {"nodes": 1, "leaves": 3, "edges": 3, "invalid": 0}
+    monkeypatch.setattr(incrtab.idg, "abstract0_key", _general_abstract0_key)
+    general, general_answers = _abstract0_engine()
+    assert general_answers == answers
+    assert general.idg.dump_edges() == engine.idg.dump_edges()
+    assert general.idg.stats() == engine.idg.stats()
+
+
+def test_each_dependency_is_registered_once(monkeypatch):
+    edges = []
+    original = Idg.register_call_edge
+
+    def counting_register_call_edge(self, child, parent):
+        edges.append((child, parent))
+        return original(self, child, parent)
+
+    monkeypatch.setattr(Idg, "register_call_edge", counting_register_call_edge)
+    engine, _ = _abstract0_engine()
+    assert len(edges) == len(set(edges)) == engine.idg.stats()["edges"]
+    engine = Engine()
+    engine.consult_text(programs.reach_program(True, False) + "edge(1,2). edge(2,3).\n")
+    edges.clear()
+    list(engine.query("reach(X,Y)"))
+    # reach(X,Y) calls edge(X,Y), edge(2,Y), edge(3,Y) and itself
+    assert len(edges) == len(set(edges)) == engine.idg.stats()["edges"] == 4
+
+
+SWITCHED = """
+:- table t/1 as incremental.
+:- dynamic sw/1, d/2 as incremental{}.
+t(Y) :- sw(X), d(X,Y).
+sw(a).
+d(a,0).
+"""
+
+
+@pytest.mark.parametrize("abstraction", ["", ", abstract(0)"], ids=["plain", "abstract0"])
+def test_a_dropped_leaf_is_registered_again_when_called_again(abstraction):
+    """A re-derivation that no longer calls d drops its leaf: an assert into
+    d then invalidates nothing, until a call to d registers it again."""
+    engine = Engine()
+    engine.consult_text(SWITCHED.format(abstraction))
+    assert [t for t, _ in engine.query("t(Y)")] == [(Const(0),)]
+    node = engine.space.find_table(mk("t", Var("Y"))).idg_node
+    engine.store.retract_clause(parse_clause("sw(a)."))
+    assert list(engine.query("t(Y)")) == []
+    assert not engine.idg.leaves.get(("d", 2))
+    engine.store.assert_clause(parse_clause("d(a,1)."))
+    assert engine.last_invalid_list == [] and not node.invalid
+    engine.store.assert_clause(parse_clause("sw(a)."))
+    assert sorted(t[0].value for t, _ in engine.query("t(Y)")) == [0, 1]
+    assert len(engine.idg.leaves[("d", 2)]) == 1
+    engine.store.assert_clause(parse_clause("d(a,2)."))
+    assert engine.last_invalid_list == [node]
+    assert sorted(t[0].value for t, _ in engine.query("t(Y)")) == [0, 1, 2]

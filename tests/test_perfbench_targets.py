@@ -30,3 +30,22 @@ def test_every_traced_name_is_defined_on_its_owner():
 
 def test_the_traced_instance_hook_is_installed():
     assert Engine().space.preserve_hook is cursors.preserve_views
+
+
+def test_tracer_counts_candidates_and_hits_exactly():
+    """The tracer charges each selected clause to `program.candidates` and
+    counts a hit when the next `engine.unify_in` on it succeeds, so the
+    evaluator must unify each candidate head exactly once, right after
+    selection.  Here the table's one rule is selected and matched, then
+    its body call selects three facts of which one matches."""
+    tracing = load_tracing()
+    engine = Engine()
+    engine.consult_text(":- table p/1.\n"
+                        "p(X) :- e(X, q).\n"
+                        "e(a, r). e(c, r). e(b, q).\n")
+    with tracing.Tracer() as tracer:
+        got = [terms for terms, _ in engine.query("p(X)")]
+    assert [t[0].value for t in got] == ["b"]
+    assert tracer.count["program.candidates"] == 4
+    assert tracer.count["program.candidate_hits"] == 2
+    assert tracer.calls["terms.rename"] == 1    # the rule; facts are ground

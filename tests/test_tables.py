@@ -16,7 +16,7 @@ from incrtab.tables import (
     Table,
     TableSpace,
 )
-from incrtab.terms import Const, Var, mk
+from incrtab.terms import Const, Var, canonical_tuple_key, mk
 
 
 def ground_table(space, name="g"):
@@ -28,6 +28,10 @@ def make_table(space):
     decl = PredicateDecl("p", 1, tabled=True)
     table, _ = space.find_or_create_table(mk("p", Var("X")), decl)
     return table
+
+
+def add_answer(space, table, terms, delays):
+    return space.add_answer(table, canonical_tuple_key(terms), terms, delays)
 
 
 def undef_lit():
@@ -60,12 +64,12 @@ def test_add_answer_statuses():
     table.status = "incomplete"
     q2 = ground_table(space, "q2")
     q3 = ground_table(space, "q3")
-    assert space.add_answer(table, (Const(1),), []) == NEW_SUBSTITUTION
-    assert space.add_answer(table, (Const(1),), []) == REPEATED
-    assert space.add_answer(table, (Const(2),), [neg_lit(q2, Const("q2"))]) == NEW_SUBSTITUTION
-    assert space.add_answer(table, (Const(2),), [neg_lit(q3, Const("q3"))]) == CONDITIONAL_ADDED
-    assert space.add_answer(table, (Const(2),), [neg_lit(q3, Const("q3"))]) == REPEATED
-    assert space.add_answer(table, (Const(2),), []) == STRENGTHENED
+    assert add_answer(space, table, (Const(1),), []) == NEW_SUBSTITUTION
+    assert add_answer(space, table, (Const(1),), []) == REPEATED
+    assert add_answer(space, table, (Const(2),), [neg_lit(q2, Const("q2"))]) == NEW_SUBSTITUTION
+    assert add_answer(space, table, (Const(2),), [neg_lit(q3, Const("q3"))]) == CONDITIONAL_ADDED
+    assert add_answer(space, table, (Const(2),), [neg_lit(q3, Const("q3"))]) == REPEATED
+    assert add_answer(space, table, (Const(2),), []) == STRENGTHENED
     answer = table.answers[next(iter(k for k, a in table.answers.items()
                                      if a.terms == (Const(2),)))]
     assert answer.unconditional and not answer.delay_lists
@@ -76,15 +80,15 @@ def test_add_answer_completed_table_rejected():
     table = make_table(space)
     table.status = COMPLETED
     with pytest.raises(InternalStateError):
-        space.add_answer(table, (Const(1),), [])
+        add_answer(space, table, (Const(1),), [])
 
 
 def test_reeval_marks_and_undelete():
     space = TableSpace()
     table = make_table(space)
     table.status = "incomplete"
-    space.add_answer(table, (Const(1),), [])
-    space.add_answer(table, (Const(2),), [undef_lit()])
+    add_answer(space, table, (Const(1),), [])
+    add_answer(space, table, (Const(2),), [undef_lit()])
     table.status = COMPLETED
     space.begin_reeval_marks(table)
     marks = {a.terms[0].value: (a.deleted, a.was_unconditional)
@@ -95,7 +99,7 @@ def test_reeval_marks_and_undelete():
     assert marks == {a.terms[0].value: (a.deleted, a.was_unconditional)
                      for a in table.answers.values()}
     table.in_reeval = True
-    assert space.add_answer(table, (Const(1),), []) == UNDELETED
+    assert add_answer(space, table, (Const(1),), []) == UNDELETED
     removed, weakened = space.finalize_reeval(table)
     assert [a.terms[0].value for a in removed] == [2]
     assert weakened == []
@@ -106,11 +110,11 @@ def test_finalize_reports_weakened():
     space = TableSpace()
     table = make_table(space)
     table.status = "incomplete"
-    space.add_answer(table, (Const(1),), [])
+    add_answer(space, table, (Const(1),), [])
     table.status = COMPLETED
     space.begin_reeval_marks(table)
     table.in_reeval = True
-    space.add_answer(table, (Const(1),), [undef_lit()])
+    add_answer(space, table, (Const(1),), [undef_lit()])
     removed, weakened = space.finalize_reeval(table)
     assert removed == []
     assert [a.terms[0].value for a in weakened] == [1]
@@ -122,8 +126,8 @@ def test_simplify_satisfied_literal_strengthens_dependent():
     provider.status = "incomplete"
     dep = make_table(space)
     dep.status = "incomplete"
-    space.add_answer(provider, (), [undef_lit()])
-    space.add_answer(dep, (Const(1),), [neg_lit(provider, Const("q"))])
+    add_answer(space, provider, (), [undef_lit()])
+    add_answer(space, dep, (Const(1),), [neg_lit(provider, Const("q"))])
     provider.status = COMPLETED
     dep.status = COMPLETED
     # provider's only answer goes away: not q becomes true
@@ -139,8 +143,8 @@ def test_simplify_falsified_literal_deletes_dependent():
     provider.status = "incomplete"
     dep = make_table(space)
     dep.status = "incomplete"
-    space.add_answer(provider, (), [undef_lit()])
-    space.add_answer(dep, (Const(1),), [neg_lit(provider, Const("q"))])
+    add_answer(space, provider, (), [undef_lit()])
+    add_answer(space, dep, (Const(1),), [neg_lit(provider, Const("q"))])
     provider.status = COMPLETED
     dep.status = COMPLETED
     # provider's answer becomes unconditional: not q is falsified
@@ -155,12 +159,12 @@ def test_falsified_list_is_kept_until_all_lists_fail():
     q2 = ground_table(space, "q2")
     for t in (q1, q2):
         t.status = "incomplete"
-        space.add_answer(t, (), [undef_lit()])
+        add_answer(space, t, (), [undef_lit()])
         t.status = COMPLETED
     dep = make_table(space)
     dep.status = "incomplete"
-    space.add_answer(dep, (Const(1),), [neg_lit(q1, Const("q1"))])
-    space.add_answer(dep, (Const(1),), [neg_lit(q2, Const("q2"))])
+    add_answer(space, dep, (Const(1),), [neg_lit(q1, Const("q1"))])
+    add_answer(space, dep, (Const(1),), [neg_lit(q2, Const("q2"))])
     dep.status = COMPLETED
     dep_answer = next(iter(dep.answers.values()))
     assert len(dep_answer.delay_lists) == 2
@@ -179,7 +183,7 @@ def test_simplify_noop_without_dependents():
     provider.status = "incomplete"
     # a new unconditional answer propagates its truth at once; with no
     # dependents that has no effect
-    assert space.add_answer(provider, (), []) == NEW_SUBSTITUTION
+    assert add_answer(space, provider, (), []) == NEW_SUBSTITUTION
     provider.status = COMPLETED
     answer = next(iter(provider.answers.values()))
     assert answer.unconditional
@@ -191,8 +195,8 @@ def test_no_answer_holds_empty_and_nonempty_lists():
     space = TableSpace()
     table = make_table(space)
     table.status = "incomplete"
-    space.add_answer(table, (Const(1),), [undef_lit()])
-    space.add_answer(table, (Const(1),), [])
+    add_answer(space, table, (Const(1),), [undef_lit()])
+    add_answer(space, table, (Const(1),), [])
     answer = next(iter(table.answers.values()))
     assert answer.unconditional
     assert answer.delay_lists == []
@@ -202,8 +206,8 @@ def test_snapshot_rows():
     space = TableSpace()
     table = make_table(space)
     table.status = "incomplete"
-    space.add_answer(table, (Const(1),), [])
-    space.add_answer(table, (Const(2),), [undef_lit()])
+    add_answer(space, table, (Const(1),), [])
+    add_answer(space, table, (Const(2),), [undef_lit()])
     table.status = COMPLETED
     rows = space.snapshot()
     assert rows == [{"subgoal": "p(X)", "status": "completed", "answers": 2,
