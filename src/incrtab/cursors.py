@@ -79,23 +79,18 @@ class Cursor:
     def _exhaust_live(self) -> None:
         if self.mode == LIVE:
             self.mode = DONE
-            self.table.occp_num -= 1
-            if self in self.table.cursors:
-                self.table.cursors.remove(self)
+            self.table.cursors.remove(self)
 
     def _release(self) -> None:
         if self.mode == SNAPSHOT:
             self.mode = DONE
             self.snapshot = None
-            if self in self.table.cursors:
-                self.table.cursors.remove(self)
 
 
 def open_cursor(table: Table) -> Cursor:
     if table.status != COMPLETED:
         raise InternalStateError("cursor opened on incomplete table")
     cursor = Cursor(table)
-    table.occp_num += 1
     table.cursors.append(cursor)
     return cursor
 
@@ -103,14 +98,15 @@ def open_cursor(table: Table) -> Cursor:
 def preserve_views(table: Table) -> None:
     """Snapshot the unconsumed suffix of every open cursor on table.
 
-    Called before a re-evaluation or simplification mutates a completed
-    table with occp_num > 0.  Snapshot cursors stop counting as open.
+    Called before a re-evaluation, an abolish or a simplification mutates a
+    completed table.  The cursors leave `table.cursors`, which holds live
+    cursors only: a snapshot cursor no longer reads the table.
     """
-    if table.occp_num <= 0:
+    live = table.cursors
+    if not live:
         return
-    for cursor in list(table.cursors):
-        if cursor.mode != LIVE:
-            continue
+    table.cursors = []
+    for cursor in live:
         entries = []
         for key in cursor._keys[cursor.pos:]:
             answer = table.answers.get(key)
@@ -121,4 +117,3 @@ def preserve_views(table: Table) -> None:
         cursor.snapshot = tuple(entries)
         cursor.mode = SNAPSHOT
         cursor.pos = 0
-    table.occp_num = 0

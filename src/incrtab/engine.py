@@ -20,8 +20,14 @@ evaluation, in one of two ways chosen by `Engine._can_reopen`:
 - re-derived (every other table): its answers are marked, derived again
   from scratch, and the marked answers not derived again are removed.
 
-Either way `_finish_reeval` compares the answers before and after, and the
-IDG propagates validity when nothing changed.
+Either way `_finish_reeval` compares the answers before and after, keeps
+the result on the table's IDG node (`IdgNode.outcome`), and the IDG
+propagates validity when nothing changed.
+
+A query on an invalid table (`Engine.lazy_call`) drains the tables it
+depends on, dependencies first, in a list the IDG collects afresh for each
+call; an unchanged dependency revalidates its parents, which then drain as
+no-ops.
 
 Each call and answer is paid again by every lazy re-evaluation, so the call
 path does each job once: a dynamic call finds its IDG leaf by key and a
@@ -45,7 +51,7 @@ from .errors import (
     InternalStateError,
     PermissionViolation,
 )
-from .idg import COMPUTE_DEPENDENCIES_FIRST, Idg
+from .idg import Idg
 from .program import (
     ATOMIC,
     CUT,
@@ -88,6 +94,7 @@ from .terms import (
     format_term,
     functor_of,
     is_ground,
+    rename_clause,
     resolve,
     skolemize,
     term_vars,
@@ -143,14 +150,13 @@ class EngineStats:
 
 
 class ReevalOutcome:
-    __slots__ = ("changed", "old_count", "new_count", "weakened", "strengthened", "removed")
+    __slots__ = ("changed", "old_count", "new_count", "weakened", "removed")
 
-    def __init__(self, changed, old_count, new_count, weakened=0, strengthened=0, removed=0):
+    def __init__(self, changed, old_count, new_count, weakened=0, removed=0):
         self.changed = changed
         self.old_count = old_count
         self.new_count = new_count
         self.weakened = weakened
-        self.strengthened = strengthened
         self.removed = removed
 
     def __repr__(self):
@@ -207,12 +213,11 @@ class Evaluation:
         self._complete_all()
 
     def _pump(self) -> bool:
-        produced = False
+        """Deliver logged answers until some continuation is resumed; False
+        when nothing is left to deliver."""
         while self.dirty or self.catchup:
             while self.catchup:
-                sub = self.catchup.popleft()
-                if self._deliver(sub):
-                    produced = True
+                self._deliver(self.catchup.popleft())
                 if self.pending:
                     return True
             if not self.dirty:
@@ -222,18 +227,16 @@ class Evaluation:
             if self.managed.get(serial) is None:
                 continue
             for sub in self.subs[serial]:
-                if self._deliver(sub):
-                    produced = True
+                self._deliver(sub)
             if self.pending:
                 return True
-        return produced or bool(self.pending)
+        return bool(self.pending)
 
-    def _deliver(self, sub: "Subscription") -> bool:
+    def _deliver(self, sub: "Subscription") -> None:
         table = sub.provider
         log = self.delivery_log.get(table.serial)
         if log is None:
-            return False
-        produced = False
+            return
         backlog = len(log)
         while sub.next_idx < backlog:
             key = log[sub.next_idx]
@@ -241,10 +244,8 @@ class Evaluation:
             answer = table.answers.get(key)
             if answer is None or answer.deleted:
                 continue
-            if self.engine._resume_with(self, sub.cont, sub.goal, table, answer,
-                                        sub.delta):
-                produced = True
-        return produced
+            self.engine._resume_with(self, sub.cont, sub.goal, table, answer,
+                                     sub.delta)
 
     def log_delivery(self, table: Table, key) -> None:
         log = self.delivery_log.get(table.serial)
@@ -327,7 +328,6 @@ class Engine:
         self.last_invalid_list: list = []
         self._driver_cache: dict = {}
         self._driver_counter = 0
-        self._reeval_outcomes: dict = {}
         self._abstract_alias: dict = {}
         self.store.on_update = self._on_update
         self.space.preserve_hook = cursors.preserve_views
@@ -495,12 +495,10 @@ class Engine:
     def _on_update(self, token) -> list:
         pred = (token.decl.name, token.decl.arity)
         if token.clause is None:
-            token.affected_leaves = []
             self.last_invalid_list = []
             return []
         clause = token.clause
         leaves = self.idg.leaves_matching(pred, clause.head)
-        token.affected_leaves = leaves
         fact = clause if token.op == "assert" and not clause.body else None
         invalid = self.idg.invalidate_from(leaves, fact)
         self.stats.invalidations += 1
@@ -508,31 +506,27 @@ class Engine:
         return invalid
 
     def lazy_call(self, table: Table) -> None:
-        """Bring a completed-but-invalid table back to validity."""
+        """Bring a completed-but-invalid table back to validity: drain its
+        dependencies, collected afresh, dependencies first.  A table whose
+        dependencies all came back unchanged was revalidated by them and
+        drains as a no-op.  An evaluation error aborts the drain with the
+        failing table abolished and earlier entries valid."""
         node = table.idg_node
         if node is None or not node.invalid:
             return
-        if node.reeval_ready == COMPUTE_DEPENDENCIES_FIRST:
-            drain = self.idg.collect_dependencies(node)
-            self.recompute_dependent_tables(drain)
-        else:
-            self.incremental_reeval(node)
-
-    def recompute_dependent_tables(self, drain: list) -> None:
-        """Drain an invalid list in order; an evaluation error aborts the
-        drain with the failing table abolished and earlier entries valid."""
         self.stats.drains += 1
-        for node in drain:
-            self.incremental_reeval(node)
+        for dep in self.idg.collect_dependencies(node):
+            self.incremental_reeval(dep)
 
     def incremental_reeval(self, node) -> ReevalOutcome:
+        """Re-evaluate node's table if it is still invalid; the outcome is
+        also kept on the node."""
         table = node.table
         if node.falsecount == 0:
-            node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
             count = table.live_count()
             return ReevalOutcome(False, count, count)
         self._evaluate(self._begin_reeval, table)
-        return self._reeval_outcomes.pop(table.serial)
+        return node.outcome
 
     def _evaluate(self, start, table: Table) -> None:
         """Run one evaluation begun by start(evaluation, table).  On any
@@ -565,8 +559,7 @@ class Engine:
         if self._can_reopen(table):
             self._reopen(evaluation, table)
             return
-        if table.occp_num > 0:
-            cursors.preserve_views(table)
+        cursors.preserve_views(table)
         self.space.begin_reeval_marks(table)
         self.idg.clear_dependencies(node)
         evaluation.seed(table)
@@ -584,7 +577,7 @@ class Engine:
                 or decl.answer_abstraction is not None \
                 or decl.subgoal_abstraction is not None:
             return False
-        for clause in self._clauses_for(table.subgoal):
+        for clause in self.store.static[functor_of(table.subgoal)].items.values():
             for lit in clause.body:
                 if lit.kind in (TNOT, SK_NOT, UNDEFINED, CUT):
                     return False
@@ -648,7 +641,6 @@ class Engine:
         new_count = table.live_count()
         old_count = node.previous_count
         table.in_reeval = False
-        node.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
         node.delta = []
         changed = node.new_answer or new_count != old_count
         if changed:
@@ -656,7 +648,7 @@ class Engine:
         else:
             self.idg.propagate_validity(node)
         node.falsecount = 0
-        self._reeval_outcomes[table.serial] = ReevalOutcome(
+        node.outcome = ReevalOutcome(
             changed, old_count, new_count,
             weakened=len(weakened), removed=len(removed))
 
@@ -664,8 +656,7 @@ class Engine:
         table = self.space.find_table(goal)
         if table is None or table.status != COMPLETED:
             raise ExistenceError(f"no completed table for {format_term(goal)}")
-        if table.occp_num > 0:
-            cursors.preserve_views(table)
+        cursors.preserve_views(table)
         node = table.idg_node
         if node is not None:
             self.idg.invalidate_from([node])
@@ -910,29 +901,20 @@ class Engine:
 
     def _resume_with(self, evaluation: Evaluation, template: Continuation,
                      goal: Term, provider: Table, answer,
-                     delta: Optional[Arg1Index] = None) -> bool:
-        """Queue template resumed with answer unified into goal.  When the
-        next literal is a DELTA call, delta holds its clauses, and an answer
-        that leaves it no candidate is dropped here."""
+                     delta: Optional[Arg1Index] = None) -> None:
+        """Queue template resumed with answer unified into goal.  A
+        non-ground answer is renamed apart first, so separate uses of it do
+        not share its variables.  When the next literal is a DELTA call,
+        delta holds its clauses, and an answer that leaves it no candidate
+        is dropped here."""
         instance = provider.answer_instance(answer)
-        if type(goal) is Struct and type(instance) is Struct and goal.args:
-            a = walk(goal.args[0], template.env)
-            b = instance.args[0]
-            ta, tb = type(a), type(b)
-            if ta is Const:
-                if (tb is Const and a != b) or tb is Struct:
-                    return False
-            elif ta is Struct and (
-                tb is Const
-                or (tb is Struct and (a.functor != b.functor or len(a.args) != len(b.args)))
-            ):
-                return False
+        unified = instance if instance.ground else rename_clause(instance, ())[0]
         env2 = dict(template.env)
-        if not unify_in(goal, instance, env2):
-            return False
+        if not unify_in(goal, unified, env2):
+            return
         if delta is not None and not delta.matching(
                 template.literals[template.idx].atom, env2):
-            return False
+            return
         delays = template.delays
         if not answer.unconditional:
             delays = delays + (DelayLiteral(
@@ -940,7 +922,6 @@ class Engine:
         evaluation.pending.append(Continuation(
             template.owner, template.literals, template.idx, env2, delays,
             template.committed))
-        return True
 
     def _emit(self, evaluation: Evaluation, owner: Table, env: dict,
               delays: tuple) -> None:

@@ -37,9 +37,6 @@ from .terms import (
     walk,
 )
 
-COMPUTE_DEPENDENCIES_FIRST = "compute_dependencies_first"
-COMPUTE_DIRECTLY = "compute_directly"
-
 
 class IdgNode:
     """Node for an incremental tabled subgoal.
@@ -51,12 +48,13 @@ class IdgNode:
     anything else invalidated it (a retract or a rule matching one of its
     leaves, another node, `abolish_table` or the unwinding of a failed
     evaluation).  Only `Idg.invalidate_from` writes it; the engine reads it
-    to choose semi-naive re-evaluation.
+    to choose semi-naive re-evaluation.  `outcome` is the `ReevalOutcome`
+    of the node's last re-evaluation, None before the first.
     """
 
     __slots__ = (
         "serial", "table", "affected_edges", "dependent_edges",
-        "previous_count", "new_answer", "falsecount", "reeval_ready", "delta",
+        "previous_count", "new_answer", "falsecount", "delta", "outcome",
     )
 
     def __init__(self, serial: int, table):
@@ -67,8 +65,8 @@ class IdgNode:
         self.previous_count: Optional[int] = None
         self.new_answer = False
         self.falsecount = 0
-        self.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
         self.delta: Optional[list] = []
+        self.outcome = None
 
     @property
     def invalid(self) -> bool:
@@ -239,7 +237,6 @@ class Idg:
                 cur.affected_edges[aff] = False
                 aff.falsecount -= 1
                 if aff.falsecount == 0 and not aff.table.in_reeval:
-                    aff.reeval_ready = COMPUTE_DEPENDENCIES_FIRST
                     aff.delta = []
                     stack.append(aff)
 
@@ -251,16 +248,15 @@ class Idg:
                 node.affected_edges[aff] = False
 
     def collect_dependencies(self, node: IdgNode) -> list:
-        """Dependency-first drain list for a lazy call of node.
-
-        Dependent edges are followed while reeval_ready is
-        compute_dependencies_first; each collected node flips to
-        compute_directly so a mid-drain call will not re-collect it.
-        The called node itself comes last, so draining the list alone
-        restores its validity.
+        """Dependency-first drain list for a lazy call of node: every table
+        node reachable through dependent edges, each once, after the nodes
+        it depends on (depth-first, in edge insertion order).  The called
+        node itself comes last, so draining the list alone restores its
+        validity.  The visited set is local to the walk, so the list
+        depends only on the graph, never on earlier calls.
         """
         collected: list = []
-        node.reeval_ready = COMPUTE_DIRECTLY
+        seen = {node}
         stack = [(node, iter(node.dependent_edges))]
         while stack:
             cur, edge_iter = stack[-1]
@@ -270,11 +266,10 @@ class Idg:
                 if cur is not node:
                     collected.append(cur)
                 continue
-            if isinstance(dep, DynamicLeaf) or dep is cur:
+            if isinstance(dep, DynamicLeaf) or dep in seen:
                 continue
-            if dep.reeval_ready == COMPUTE_DEPENDENCIES_FIRST:
-                dep.reeval_ready = COMPUTE_DIRECTLY
-                stack.append((dep, iter(dep.dependent_edges)))
+            seen.add(dep)
+            stack.append((dep, iter(dep.dependent_edges)))
         collected.append(node)
         return collected
 

@@ -9,7 +9,7 @@ first stored variant in one index bucket only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ExistenceError, PermissionViolation
@@ -104,7 +104,6 @@ class UpdateToken:
     op: str                    # "assert" | "retract"
     clause: Optional[Clause]   # None for a retract that matched nothing
     decl: PredicateDecl
-    affected_leaves: list = field(default_factory=list)  # filled by the IDG
 
 
 class ProgramStore:

@@ -128,7 +128,7 @@ class Table:
 
     __slots__ = (
         "serial", "subgoal", "subst_vars", "decl", "answers", "status",
-        "occp_num", "idg_node", "cursors", "in_reeval", "cut_hit", "_live",
+        "idg_node", "cursors", "in_reeval", "cut_hit", "_live",
     )
 
     def __init__(self, serial: int, subgoal: Term, decl):
@@ -138,12 +138,16 @@ class Table:
         self.decl = decl
         self.answers: dict = {}      # canonical key -> Answer, insertion ordered
         self.status = NEW
-        self.occp_num = 0
         self.idg_node = None
-        self.cursors: list = []      # live cursors (view-cursor module)
+        self.cursors: list = []      # open live cursors (see cursors.py)
         self.in_reeval = False
         self.cut_hit = False
         self._live = 0               # answers not marked deleted
+
+    @property
+    def occp_num(self) -> int:
+        """Open live cursors on the table."""
+        return len(self.cursors)
 
     @property
     def ans_subst_size(self) -> int:
@@ -346,7 +350,7 @@ class TableSpace:
                 self.backrefs.setdefault(key, []).append((table, answer, dl, lit))
 
     def _strengthen(self, table: Table, answer: Answer) -> None:
-        if table.status == COMPLETED and table.occp_num > 0 and self.preserve_hook:
+        if table.status == COMPLETED and table.cursors and self.preserve_hook:
             self.preserve_hook(table)
         self.stats["strengthened"] += 1
         answer.delay_lists = []
@@ -355,7 +359,7 @@ class TableSpace:
     def _delete_answer(self, table: Table, answer: Answer) -> None:
         if answer.key not in table.answers:
             return
-        if table.status == COMPLETED and table.occp_num > 0 and self.preserve_hook:
+        if table.status == COMPLETED and table.cursors and self.preserve_hook:
             self.preserve_hook(table)
         del table.answers[answer.key]
         if not answer.deleted:

@@ -419,6 +419,30 @@ def test_non_ground_delta_fact_keeps_its_variables_apart():
     assert engine.stats.semi_naive == 1
 
 
+NON_GROUND_ANSWER = """
+:- table t/1, q/0, q2/2.
+t(f(_)).
+q :- t(X), t(Y), X = f(1), Y = f(2).
+q2(X,Y) :- t(X), t(Y).
+"""
+
+
+@pytest.mark.parametrize("provider", ["completed", "incomplete"])
+def test_non_ground_answer_used_twice_keeps_its_variables_apart(provider):
+    """Each use of a non-ground answer gets its own variables, whether the
+    answer comes from a completed table or one still being evaluated."""
+    engine = Engine()
+    engine.consult_text(NON_GROUND_ANSWER)
+    if provider == "completed":
+        assert len(list(engine.query("t(X)"))) == 1
+    assert truth_of(engine, "q") == "true"
+    [(terms, truth)] = list(engine.query("q2(X,Y)"))
+    a, b = terms
+    assert truth == "true" and a.functor == b.functor == "f"
+    assert type(a.args[0]) is type(b.args[0]) is Var
+    assert a.args[0] is not b.args[0]
+
+
 def test_ground_facts_are_resolved_without_renaming(monkeypatch):
     import incrtab.program
 

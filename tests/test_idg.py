@@ -6,8 +6,8 @@ import incrtab.idg
 import incrtab.program
 from incrtab import bench, programs
 from incrtab.engine import Engine
-from incrtab.errors import InternalStateError, PermissionViolation
-from incrtab.idg import COMPUTE_DEPENDENCIES_FIRST, COMPUTE_DIRECTLY, Idg, abstract0_key
+from incrtab.errors import InstantiationError, InternalStateError, PermissionViolation
+from incrtab.idg import Idg, abstract0_key
 from incrtab.parser import parse_clause
 from incrtab.program import PredicateDecl
 from incrtab.tables import COMPLETED, TableSpace
@@ -157,15 +157,40 @@ def test_propagate_validity_underflow_detected():
         idg.propagate_validity(n1)
 
 
-def test_propagate_validity_resets_reeval_ready():
-    engine = loaded_engine()
-    engine.store.assert_clause(parse_clause("p(g(2))."))
-    nodes = {format_term(n.table.subgoal): n for n in engine.last_invalid_list}
-    drain = engine.idg.collect_dependencies(nodes["t_1(X)"])
-    assert all(n.reeval_ready == COMPUTE_DIRECTLY for n in drain)
-    engine.recompute_dependent_tables(drain)
-    assert all(n.falsecount == 0 for n in nodes.values())
-    assert all(n.reeval_ready == COMPUTE_DEPENDENCIES_FIRST for n in drain)
+ABORTED_DRAIN = """
+:- table x/1, z/1, w/1, v/1, q/1 as incremental.
+:- dynamic e/1, f/1, g/1 as incremental.
+x(X) :- z(X).
+x(X) :- w(X).
+w(X) :- v(X).
+v(X) :- e(X), f(X).
+z(X) :- g(X), tnot(q(X)).
+q(X) :- f(X).
+e(1).
+f(1).
+g(1).
+"""
+
+
+def aborted_drain_engine():
+    """x's drain runs z before w and v; z raises on the non-ground g(W)."""
+    engine = Engine()
+    engine.consult_text(ABORTED_DRAIN)
+    list(engine.query("x(X)"))
+    engine.store.assert_clause(parse_clause("e(2)."))
+    engine.store.assert_clause(parse_clause("g(W)."))
+    return engine
+
+
+def test_aborted_drain_does_not_change_later_lazy_calls():
+    engine = aborted_drain_engine()
+    with pytest.raises(InstantiationError):
+        list(engine.query("x(X)"))
+    engine.store.retract_clause(parse_clause("g(W)."))
+    before = engine.stats.reevals
+    assert [t for t, _ in engine.query("w(X)")] == [(Const(1),)]
+    # as in a fresh engine: v comes back unchanged and revalidates w
+    assert engine.stats.reevals == before + 1
 
 
 def test_collect_dependencies_dependency_first_order():
@@ -180,13 +205,24 @@ def test_collect_dependencies_dependency_first_order():
     assert "t_2(1)" in names
 
 
-def test_collect_skips_compute_directly_nodes():
+def test_collect_dependencies_is_repeatable():
     engine = loaded_engine()
     engine.store.assert_clause(parse_clause("p(g(2))."))
     nodes = {format_term(n.table.subgoal): n for n in engine.last_invalid_list}
-    engine.idg.collect_dependencies(nodes["t_1(X)"])
+    first = engine.idg.collect_dependencies(nodes["t_1(X)"])
     again = engine.idg.collect_dependencies(nodes["t_1(X)"])
-    assert node_names(again) == ["t_1(X)"]
+    assert again == first and len(first) > 1
+
+
+def test_inline_reevaluation_keeps_its_outcome_on_the_node():
+    engine = aborted_drain_engine()
+    nodes = {format_term(n.table.subgoal): n for n in engine.idg.nodes.values()}
+    assert nodes["v(X)"].outcome is None
+    # w re-evaluated directly calls the invalid v, re-evaluated inline
+    outcome = engine.incremental_reeval(nodes["w(X)"])
+    assert outcome is nodes["w(X)"].outcome
+    inline = nodes["v(X)"].outcome
+    assert (inline.changed, inline.old_count, inline.new_count) == (False, 1, 1)
 
 
 def test_update_during_incomplete_affected_table_is_permission_error():

@@ -447,3 +447,34 @@ def test_no_term_walker_calls_itself():
         fn for fn in _functions(incrtab.parser) if fn.name == "parse_term"]
     assert len(functions) > 20
     assert sorted(set(_self_calls(functions))) == []
+
+
+# -- guard: no stored field goes unread ------------------------------------------
+
+def _stored_fields(tree):
+    """(class, name) for each `__slots__` entry and dataclass field."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any(getattr(d, "id", None) == "dataclass"
+                        for d in cls.decorator_list)
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                for elt in stmt.value.elts:
+                    yield cls.name, elt.value
+            elif dataclass and isinstance(stmt, ast.AnnAssign):
+                yield cls.name, stmt.target.id
+
+
+def test_every_stored_field_is_read():
+    """Every slot and dataclass field of incrtab is read (an attribute load)
+    somewhere in incrtab: the engine keeps no state it never uses."""
+    trees = [ast.parse(path.read_text())
+             for path in Path(incrtab.terms.__file__).parent.glob("*.py")]
+    fields = [f for tree in trees for f in _stored_fields(tree)]
+    loads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert len(fields) > 40
+    assert sorted(f"{cls}.{name}" for cls, name in fields
+                  if name not in loads) == []
