@@ -34,11 +34,14 @@ path does each job once: a dynamic call finds its IDG leaf by key and a
 tabled call its table, and either adds its IDG edge only when it is
 missing; a derived answer's canonical key is computed once, for the table
 and the delivery log; and a selected rule or non-ground fact is renamed
-apart (a ground fact is unified as stored), then head-unified once.
+apart (a ground fact is unified as stored), then head-unified once.  The
+cyclic collector is paused for an evaluation's span: the heap it builds is
+long-lived and holds no cyclic garbage, so a collection there finds nothing.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import deque
 from typing import Optional
@@ -532,11 +535,14 @@ class Engine:
         """Run one evaluation begun by start(evaluation, table).  On any
         exception, KeyboardInterrupt and RecursionError included, the tables
         it left incomplete are dropped before the exception propagates;
-        leaves it detached are dropped either way."""
+        leaves it detached are dropped either way.  The cyclic collector is
+        paused for the span and left as the caller had it."""
         if self.current_eval is not None:
             raise InternalStateError("evaluation re-entered")
         evaluation = Evaluation(self)
         self.current_eval = evaluation
+        was_enabled = gc.isenabled()
+        gc.disable()
         try:
             start(evaluation, table)
             evaluation.run()
@@ -546,6 +552,8 @@ class Engine:
         finally:
             self.current_eval = None
             self.idg.drop_detached_leaves()
+            if was_enabled:
+                gc.enable()
 
     def _begin_reeval(self, evaluation: Evaluation, table: Table) -> None:
         """Enlist a completed, invalid table for re-evaluation: re-opened
@@ -1018,13 +1026,20 @@ class Engine:
                             break
             return result
 
+        # gamma reads interp only through a negative literal on a table of
+        # this component; without one, the next overestimate would equal
+        # this one, so the alternation stops after its first true set.
+        negative_loop = any(
+            lit.sign == NEG and lit.table.serial in in_scc
+            for dls in rules.values() for dl in dls for lit in dl.literals)
         overestimate = gamma(set(), True)
-        while True:
-            true_set = gamma(overestimate, False)
+        true_set = gamma(overestimate, False)
+        while negative_loop:
             new_over = gamma(true_set, True)
             if new_over == overestimate:
                 break
             overestimate = new_over
+            true_set = gamma(overestimate, False)
 
         for table, answer in conditional:
             prop = (table.serial, answer.key)

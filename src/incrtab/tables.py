@@ -49,12 +49,14 @@ class DelayLiteral:
         self._skey = None
 
     def sort_key(self):
+        """(sign, provider serial, answer key, atom key).  Only a negative
+        literal keys its atom: a positive one is named by its answer key."""
         key = self._skey
         if key is None:
             key = self._skey = (
                 self.sign, self.table.serial if self.table else -1,
                 self.answer_key if self.answer_key is not None else (),
-                canonical_key(self.atom) if self.atom is not None else ())
+                canonical_key(self.atom) if self.sign == NEG else ())
         return key
 
     def registry_key(self):

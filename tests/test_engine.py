@@ -1,7 +1,13 @@
+import gc
+import random
+
 import pytest
 
+from incrtab import programs
+from incrtab.bench import GraphSpec, gen_graph_facts
 from incrtab.engine import Engine
 from incrtab.errors import (
+    EvaluationTimeout,
     ExistenceError,
     InstantiationError,
     PermissionViolation,
@@ -464,3 +470,108 @@ def test_ground_facts_are_resolved_without_renaming(monkeypatch):
     assert renamed == []
     assert answers_of(engine.query("p(Y)")) == [((5,), "true"), ((6,), "true")]
     assert [format_term(head) for head in renamed] == ["p(Y)"]  # the rule only
+
+
+# -- the cyclic collector across an evaluation ---------------------------------
+
+CHAIN = ":- table reach/2.\n:- dynamic edge/2.\n" \
+    "reach(X,Y) :- edge(X,Y).\nreach(X,Y) :- reach(X,Z), edge(Z,Y).\n" \
+    + "".join(f"edge({i},{i + 1}).\n" for i in range(1, 30))
+
+
+@pytest.fixture
+def collector_state():
+    """The collector's state before the test; restored after it."""
+    state = (gc.isenabled(), gc.get_threshold())
+    gc.enable()
+    yield gc.isenabled(), gc.get_threshold()
+    gc.set_threshold(*state[1])
+    (gc.enable if state[0] else gc.disable)()
+
+
+def test_query_leaves_collector_state(collector_state):
+    engine = Engine()
+    engine.consult_text(CHAIN)
+    assert len(list(engine.query("reach(X,Y)"))) == 29 * 30 // 2
+    assert (gc.isenabled(), gc.get_threshold()) == collector_state
+
+
+def test_timed_out_query_leaves_collector_state(collector_state):
+    engine = Engine()
+    engine.consult_text(CHAIN)
+    engine.set_deadline(1e-9)
+    with pytest.raises(EvaluationTimeout):
+        list(engine.query("reach(X,Y)"))
+    assert (gc.isenabled(), gc.get_threshold()) == collector_state
+
+
+def test_interrupted_query_leaves_collector_state(collector_state, monkeypatch):
+    engine = Engine()
+    engine.consult_text(CHAIN)
+    original_step = Engine._step
+    steps = []
+
+    def interrupting_step(self, evaluation, cont):
+        steps.append(cont)
+        if len(steps) == 5:
+            raise KeyboardInterrupt
+        return original_step(self, evaluation, cont)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_step", interrupting_step)
+        with pytest.raises(KeyboardInterrupt):
+            list(engine.query("reach(X,Y)"))
+    assert (gc.isenabled(), gc.get_threshold()) == collector_state
+    assert len(list(engine.query("reach(X,Y)"))) == 29 * 30 // 2
+
+
+def test_query_keeps_collector_disabled_by_caller(collector_state):
+    engine = Engine()
+    engine.consult_text(CHAIN)
+    gc.disable()
+    list(engine.query("reach(X,Y)"))
+    assert not gc.isenabled()
+
+
+def test_collector_is_paused_during_evaluation(collector_state, monkeypatch):
+    engine = Engine()
+    engine.consult_text(CHAIN)
+    seen = set()
+    original_step = Engine._step
+
+    def recording_step(self, evaluation, cont):
+        seen.add(gc.isenabled())
+        return original_step(self, evaluation, cont)
+
+    monkeypatch.setattr(Engine, "_step", recording_step)
+    list(engine.query("reach(X,Y)"))
+    assert seen == {False}
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("program, goal, update_pred", [
+    (programs.reach_program(incremental=True), "reach(X,Y)", "edge"),
+    (programs.ureach_program(incremental=True, abstraction=True),
+     "ureach(X,Y)", "edge_1"),
+], ids=["reach", "ureach"])
+def test_churn_leaves_no_cyclic_garbage(collector_state, program, goal, update_pred):
+    """Evaluations make no reference cycles for the paused collector to
+    leave behind: after each assert/requery/retract/requery cycle, with a
+    cursor held over the assert, a full collection finds nothing."""
+    engine = Engine()
+    engine.consult_text(program + "\n".join(gen_graph_facts(GraphSpec(60, 300, 7))))
+    base = answers_of(engine.query(goal))
+    rng = random.Random(7)
+    gc.collect()
+    for _ in range(5):
+        batch = [parse_clause(f"{update_pred}({rng.randint(1, 60)},{rng.randint(1, 60)}).")
+                 for _ in range(20)]
+        held = engine.query(goal)
+        for clause in batch:
+            engine.store.assert_clause(clause)
+        assert len(answers_of(engine.query(goal))) >= len(base)
+        assert answers_of(held) == base
+        for clause in batch:
+            engine.store.retract_clause(clause)
+        assert answers_of(engine.query(goal)) == base
+        assert gc.collect() == 0

@@ -44,6 +44,45 @@ def test_ground_program_agreement_sample():
             assert engine_truth(engine, atom) == model[atom], (rules, atom)
 
 
+# s, t, a, b and c form one component: t calls tnot(c), c and b call each
+# other, b calls a and a calls tnot(s).  While u is absent, t has no answer,
+# so the first true set holds s, which makes a false.  Simplification then
+# deletes a, but the positive loop between b and c keeps both conditional:
+# only the second overestimate, read against that true set, shows them
+# unfounded.  With u present, t and s are undefined, and so are a, b and c.
+NEGATIVE_LOOP = [
+    ("s", [("neg", "t")]),
+    ("t", [("neg", "c"), ("pos", "u")]),
+    ("a", [("neg", "s")]),
+    ("b", [("pos", "a")]),
+    ("b", [("pos", "c")]),
+    ("c", [("pos", "b")]),
+]
+
+
+def test_negative_loop_in_one_component_needs_alternation():
+    idb = ["s", "t", "a", "b", "c"]
+    engine = Engine()
+    engine.consult_text(program_text(idb, ["u"], NEGATIVE_LOOP))
+
+    def oracle(edb_facts):
+        model = well_founded_model(oracle_rules(NEGATIVE_LOOP, edb_facts))
+        return {atom: model[atom] for atom in idb}
+
+    def truths():
+        return {atom: engine_truth(engine, atom) for atom in idb}
+
+    without_u, with_u = oracle([]), oracle(["u"])
+    assert without_u == {"s": "true", "t": "false", "a": "false", "b": "false",
+                         "c": "false"}
+    assert with_u == dict.fromkeys(idb, "undefined")
+    assert truths() == without_u
+    engine.store.assert_clause(parse_clause("u."))
+    assert truths() == with_u
+    engine.store.retract_clause(parse_clause("u."))
+    assert truths() == without_u
+
+
 def test_incremental_agreement_sample():
     rng = random.Random(2)
     for _ in range(60):
