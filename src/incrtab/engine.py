@@ -77,7 +77,9 @@ from .tables import (
     NEW,
     NEW_SUBSTITUTION,
     RESTRAINT,
+    RESTRAINT_LITERAL,
     UNDEF,
+    UNDEFINED_LITERAL,
     UNDELETED,
     DelayLiteral,
     Table,
@@ -748,7 +750,7 @@ class Engine:
                 idx += 1
                 continue
             if kind == UNDEFINED:
-                delays = delays + (DelayLiteral(UNDEF),)
+                delays = delays + (UNDEFINED_LITERAL,)
                 idx += 1
                 continue
             if kind == CUT:
@@ -938,7 +940,7 @@ class Engine:
         if decl is not None and decl.answer_abstraction is not None:
             terms, forced = self._abstract_answer(terms, decl.answer_abstraction)
             if forced:
-                delays = delays + (DelayLiteral(RESTRAINT),)
+                delays = delays + (RESTRAINT_LITERAL,)
         key = canonical_tuple_key(terms)
         status = self.space.add_answer(owner, key, terms, list(delays))
         self.stats.answers += 1
@@ -1058,10 +1060,9 @@ class Engine:
                     continue
                 for lit in list(dl.literals):
                     if literal_eval(lit, overestimate, False, true_set):
-                        dl.literals.remove(lit)
-                        dl.invalidate_canon()
+                        self.space.remove_literal(dl, lit)
                     elif not literal_eval(lit, true_set, True, overestimate):
-                        dl.falsified = True
+                        self.space.falsify(dl)
                         break
             if not any(not dl.falsified for dl in answer.delay_lists):
                 raise InternalStateError("undefined answer lost all delay lists")

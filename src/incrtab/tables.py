@@ -1,6 +1,15 @@
 """Subgoal tables keyed by variant: answer stores with delay lists,
 re-evaluation marks, and simplification with direct back-references
 from waited-on answers/tables to their dependent conditional answers.
+
+The simplification registry (`TableSpace.backrefs`) holds exactly the
+positive and negative literals of the unfalsified delay lists of the
+answers in `TableSpace.tables`: under each literal's `registry_key`, the
+list maps to its (table, answer).  Whatever drops such a list or literal
+-- re-deriving, strengthening, deleting or removing an answer, satisfying
+or falsifying a literal, dropping a table -- unregisters it, at a cost in
+the literals it drops.  So the registry follows the live tables, not the
+update history.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ RESTRAINT = "r"  # permanently undefined restraint mark from answer abstraction
 
 
 class DelayLiteral:
-    __slots__ = ("sign", "table", "answer_key", "atom", "_skey")
+    __slots__ = ("sign", "table", "answer_key", "atom", "registry_key", "_skey")
 
     def __init__(self, sign: str, table: Optional["Table"] = None,
                  answer_key=None, atom: Optional[Term] = None):
@@ -46,6 +55,9 @@ class DelayLiteral:
         self.table = table          # provider table (POS/NEG)
         self.answer_key = answer_key  # POS: provider answer key
         self.atom = atom            # NEG: the negated ground atom; POS: answer atom
+        # the simplification registry's key: the answer or table waited on
+        self.registry_key = (("a", table.serial, answer_key) if sign == POS
+                             else ("t", table.serial) if sign == NEG else None)
         self._skey = None
 
     def sort_key(self):
@@ -59,13 +71,6 @@ class DelayLiteral:
                 canonical_key(self.atom) if self.sign == NEG else ())
         return key
 
-    def registry_key(self):
-        if self.sign == POS:
-            return ("a", self.table.serial, self.answer_key)
-        if self.sign == NEG:
-            return ("t", self.table.serial)
-        return None
-
     def render(self) -> str:
         if self.sign == NEG:
             return f"not {format_term(self.atom)}"
@@ -77,6 +82,11 @@ class DelayLiteral:
 
     def __repr__(self):
         return self.render()
+
+
+# Literals with no provider are never removed from a list: every list shares one.
+UNDEFINED_LITERAL = DelayLiteral(UNDEF)
+RESTRAINT_LITERAL = DelayLiteral(RESTRAINT)
 
 
 class DelayList:
@@ -199,7 +209,7 @@ class TableSpace:
 
     def __init__(self):
         self.tables: dict = {}        # canonical subgoal key -> Table
-        self.backrefs: dict = {}      # registry key -> list[(table, answer, dlist, literal)]
+        self.backrefs: dict = {}      # registry key -> {DelayList: (table, answer)}
         self.preserve_hook = None     # set by the engine: preserve cursor views
         self.stats = {
             "simplifications": 0,
@@ -232,6 +242,8 @@ class TableSpace:
         key = canonical_key(table.subgoal)
         if self.tables.get(key) is table:
             del self.tables[key]
+        for answer in table.answers.values():
+            self._unregister_answer(answer)
 
     def snapshot(self) -> list:
         """Introspection rows: subgoal text, status, answer count,
@@ -275,6 +287,7 @@ class TableSpace:
             existing.deleted = False
             table._live += 1
             was_cond = not existing.was_unconditional
+            self._unregister_answer(existing)
             existing.delay_lists = []
             if delays:
                 dl = DelayList(delays)
@@ -323,6 +336,7 @@ class TableSpace:
             if answer.was_unconditional and not answer.unconditional:
                 weakened.append(answer)
         for answer in removed:
+            self._unregister_answer(answer)
             if not answer.was_unconditional:
                 self.stats["simplifications"] += 1
             self._queue(("false", table, answer))
@@ -345,16 +359,53 @@ class TableSpace:
         self._delete_answer(table, answer)
         self._run_events()
 
+    def remove_literal(self, dl: DelayList, lit: DelayLiteral) -> None:
+        """Remove a literal settled true from dl; dl keeps its entry under
+        the literal's key while another of its literals has that key."""
+        dl.literals.remove(lit)
+        dl.invalidate_canon()
+        key = lit.registry_key
+        if all(other.registry_key != key for other in dl.literals):
+            self._unregister_key(key, dl)
+
+    def falsify(self, dl: DelayList) -> None:
+        """Mark dl false (a literal of it settled false) and unregister it."""
+        dl.falsified = True
+        self._unregister(dl)
+
     def _register(self, table: Table, answer: Answer, dl: DelayList) -> None:
+        backrefs = self.backrefs
         for lit in dl.literals:
-            key = lit.registry_key()
+            key = lit.registry_key
             if key is not None:
-                self.backrefs.setdefault(key, []).append((table, answer, dl, lit))
+                refs = backrefs.get(key)
+                if refs is None:
+                    refs = backrefs[key] = {}
+                refs[dl] = (table, answer)
+
+    def _unregister(self, dl: DelayList) -> None:
+        for lit in dl.literals:
+            self._unregister_key(lit.registry_key, dl)
+
+    def _unregister_key(self, key, dl: DelayList) -> None:
+        """Drop dl's entry under key (None, an unregistered literal's key,
+        has no entries)."""
+        refs = self.backrefs.get(key)
+        if refs is not None and refs.pop(dl, None) is not None and not refs:
+            del self.backrefs[key]
+
+    def _unregister_answer(self, answer: Answer) -> None:
+        """Unregister the lists of an answer about to lose them; a falsified
+        list was unregistered when it was falsified."""
+        for dl in answer.delay_lists:
+            if not dl.falsified:
+                self._unregister(dl)
 
     def _strengthen(self, table: Table, answer: Answer) -> None:
         if table.status == COMPLETED and table.cursors and self.preserve_hook:
             self.preserve_hook(table)
         self.stats["strengthened"] += 1
+        self._unregister_answer(answer)
         answer.delay_lists = []
         self._queue(("true", table, answer))
 
@@ -364,6 +415,7 @@ class TableSpace:
         if table.status == COMPLETED and table.cursors and self.preserve_hook:
             self.preserve_hook(table)
         del table.answers[answer.key]
+        self._unregister_answer(answer)
         if not answer.deleted:
             table._live -= 1
         self.stats["simplify_deleted"] += 1
@@ -386,25 +438,21 @@ class TableSpace:
         finally:
             self._processing = False
 
-    def _dependents(self, key) -> list:
+    def _dependents(self, key) -> Iterator[tuple]:
+        """(table, answer, dlist, literal) for each literal registered under
+        key, over a snapshot of the entries.  An entry dropped while the
+        snapshot is processed is skipped, and so is an answer marked for
+        re-derivation: its lists wait to be derived again or removed."""
         refs = self.backrefs.get(key)
         if not refs:
-            return []
-        live = []
-        for dep_table, dep_answer, dlist, lit in refs:
-            if dep_table.answers.get(dep_answer.key) is not dep_answer:
-                continue
+            return
+        for dlist, (dep_table, dep_answer) in list(refs.items()):
             if dep_answer.deleted:
                 continue
-            if dlist not in dep_answer.delay_lists or dlist.falsified:
-                continue
-            if lit not in dlist.literals:
-                continue
-            live.append((dep_table, dep_answer, dlist, lit))
-        self.backrefs[key] = [r for r in refs
-                              if r[0].answers.get(r[1].key) is r[1]
-                              and r[2] in r[1].delay_lists]
-        return live
+            for lit in [lit for lit in dlist.literals if lit.registry_key == key]:
+                if dlist not in refs:
+                    break
+                yield dep_table, dep_answer, dlist, lit
 
     def _on_answer_true(self, table: Table, answer: Answer) -> None:
         # Positive waits on this answer are satisfied.
@@ -435,14 +483,13 @@ class TableSpace:
     def _satisfy_literal(self, dep_table: Table, dep_answer: Answer,
                          dlist: DelayList, lit: DelayLiteral) -> None:
         self.stats["simplifications"] += 1
-        dlist.literals.remove(lit)
-        dlist.invalidate_canon()
+        self.remove_literal(dlist, lit)
         if not dlist.literals:
             self._strengthen(dep_table, dep_answer)
 
     def _falsify_list(self, dep_table: Table, dep_answer: Answer,
                       dlist: DelayList, lit: DelayLiteral) -> None:
         self.stats["simplifications"] += 1
-        dlist.falsified = True
+        self.falsify(dlist)
         if all(dl.falsified for dl in dep_answer.delay_lists):
             self._delete_answer(dep_table, dep_answer)

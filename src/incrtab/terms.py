@@ -166,10 +166,13 @@ class Arg1Index:
         return sorted(keyed + open_first)
 
     def remove(self, key, pos: int) -> None:
-        """Remove the entry at position pos of the bucket filed under key."""
+        """Remove the entry at position pos of the bucket filed under key,
+        and the bucket once it is empty."""
         bucket = self.buckets[key]
         seq, _ = bucket.pop(pos)
         del self.items[seq]
+        if not bucket:
+            del self.buckets[key]
 
 
 def _rebuild(t: Term, leaf, env: Optional[Subst] = None) -> Term:

@@ -16,6 +16,7 @@ from incrtab.parser import parse_clause
 from incrtab.terms import Const, Var, format_term, mk
 
 from oracle import well_founded_model
+from registry import assert_registry_exact
 
 
 def answers_of(cursor):
@@ -549,21 +550,23 @@ def test_collector_is_paused_during_evaluation(collector_state, monkeypatch):
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("program, goal, update_pred", [
+CHURN_PROGRAMS = pytest.mark.parametrize("program, goal, update_pred", [
     (programs.reach_program(incremental=True), "reach(X,Y)", "edge"),
     (programs.ureach_program(incremental=True, abstraction=True),
      "ureach(X,Y)", "edge_1"),
 ], ids=["reach", "ureach"])
-def test_churn_leaves_no_cyclic_garbage(collector_state, program, goal, update_pred):
-    """Evaluations make no reference cycles for the paused collector to
-    leave behind: after each assert/requery/retract/requery cycle, with a
-    cursor held over the assert, a full collection finds nothing."""
+
+
+def churn_cycles(program, goal, update_pred, cycles):
+    """An engine over a 60-node, 300-edge graph, yielded after each of
+    cycles assert/requery/retract/requery cycles of 20 facts, with a cursor
+    held over the assert."""
     engine = Engine()
     engine.consult_text(program + "\n".join(gen_graph_facts(GraphSpec(60, 300, 7))))
     base = answers_of(engine.query(goal))
     rng = random.Random(7)
     gc.collect()
-    for _ in range(5):
+    for _ in range(cycles):
         batch = [parse_clause(f"{update_pred}({rng.randint(1, 60)},{rng.randint(1, 60)}).")
                  for _ in range(20)]
         held = engine.query(goal)
@@ -574,4 +577,83 @@ def test_churn_leaves_no_cyclic_garbage(collector_state, program, goal, update_p
         for clause in batch:
             engine.store.retract_clause(clause)
         assert answers_of(engine.query(goal)) == base
+        yield engine
+
+
+@CHURN_PROGRAMS
+def test_churn_leaves_no_cyclic_garbage(collector_state, program, goal, update_pred):
+    """Evaluations make no reference cycles for the paused collector to
+    leave behind: after each cycle, a full collection finds nothing."""
+    for _ in churn_cycles(program, goal, update_pred, 5):
         assert gc.collect() == 0
+
+
+@CHURN_PROGRAMS
+def test_churn_keeps_heap_flat(collector_state, program, goal, update_pred):
+    """The tables' memory follows the live tables, not the update history:
+    over 8 cycles, the simplification registry holds exactly the live
+    answers' entries, and after a full collection the heap of cycle 8 is
+    the size of cycle 2's."""
+    sizes = []
+    for engine in churn_cycles(program, goal, update_pred, 8):
+        assert_registry_exact(engine.space)
+        gc.collect()
+        entries = sum(len(refs) for refs in engine.space.backrefs.values())
+        sizes.append((len(gc.get_objects()), entries))
+    (objects_2, entries_2), (objects_8, entries_8) = sizes[1], sizes[7]
+    assert entries_8 == entries_2
+    assert objects_8 <= objects_2 + 500, sizes
+
+
+TNOT_LOOP = """
+:- table p/1 as incremental.
+:- table q/1 as incremental.
+:- dynamic f/1 as incremental.
+p(X) :- f(X), tnot(q(X)).
+q(X) :- f(X), tnot(p(X)).
+"""
+
+
+def registry_tables(engine):
+    return {table for refs in engine.space.backrefs.values()
+            for table, _ in refs.values()}
+
+
+def test_abolished_tables_leave_the_registry():
+    engine = Engine()
+    engine.consult_text(TNOT_LOOP + "f(1). f(2). f(3).\n")
+    assert {truth for _, truth in engine.query("p(X)")} == {"undefined"}
+    assert sum(len(refs) for refs in engine.space.backrefs.values()) == 9
+    engine.abolish_table(mk("p", Var("X")))
+    assert registry_tables(engine) <= set(engine.space.tables.values())
+    assert_registry_exact(engine.space)
+    for table in list(engine.space.tables.values()):
+        engine.abolish_table(table.subgoal)
+    assert engine.space.tables == {}
+    assert engine.space.backrefs == {}
+    assert answers_of(engine.query("q(X)")) == [
+        ((i,), "undefined") for i in (1, 2, 3)]
+    assert_registry_exact(engine.space)
+
+
+def test_unwound_tables_leave_the_registry(monkeypatch):
+    engine = Engine()
+    engine.consult_text(TNOT_LOOP + "".join(f"f({i}).\n" for i in range(1, 21)))
+    original_step = Engine._step
+    steps = []
+
+    def timing_out_step(self, evaluation, cont):
+        steps.append(cont)
+        if len(steps) == 100:
+            assert self.space.backrefs  # conditional answers are registered
+            raise EvaluationTimeout("evaluation deadline exceeded")
+        return original_step(self, evaluation, cont)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Engine, "_step", timing_out_step)
+        with pytest.raises(EvaluationTimeout):
+            list(engine.query("p(X)"))
+    assert registry_tables(engine) <= set(engine.space.tables.values())
+    assert_registry_exact(engine.space)
+    assert len(answers_of(engine.query("p(X)"))) == 20
+    assert_registry_exact(engine.space)

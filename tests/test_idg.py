@@ -417,7 +417,8 @@ def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatc
 
 def test_leaves_without_affected_edges_are_dropped():
     """Reach without abstract(0): rounds of asserts, requery, retracts and
-    requery leave exactly the leaves that some table still calls."""
+    requery leave exactly the leaves that some table still calls, and no
+    emptied index bucket."""
     engine = Engine()
     engine.consult_text(programs.reach_program(True, False)
                         + bench.gen_graph(bench.GraphSpec(1000, 500, seed=1)))
@@ -429,6 +430,8 @@ def test_leaves_without_affected_edges_are_dropped():
         assert engine.idg.stats()["leaves"] == len(every_leaf)
         assert list(engine.idg.leaf_index[pred].items.values()) == every_leaf
         assert all(leaf.affected_edges for leaf in every_leaf)
+        assert all(engine.idg.leaf_index[pred].buckets.values())
+        assert all(engine.store.dynamic[pred].buckets.values())
         return every_leaf
 
     base = leaves()

@@ -229,6 +229,7 @@ def test_retract_matches_brute_force_first_variant(ops):
             assert all(arg1_key(c.head) == key and stored.items[seq] is c
                        for seq, c in entries)
         assert sum(map(len, stored.buckets.values())) == len(model)
+        assert all(stored.buckets.values())
 
     # The same heads loaded as static clauses: candidates are the clauses
     # whose first-argument key is compatible, in source order.

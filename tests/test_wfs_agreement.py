@@ -25,6 +25,7 @@ from genprog import (
     random_program,
 )
 from oracle import well_founded_model
+from registry import assert_registry_exact
 
 
 def engine_truth(engine, atom):
@@ -109,6 +110,7 @@ def test_incremental_agreement_sample():
                 for atom in idb:
                     assert engine_truth(engine, atom) == model[atom], (
                         rules, sorted(facts.items()), atom)
+            assert_registry_exact(engine.space)
 
 
 def test_incremental_matches_fresh_engine_on_structures():
@@ -169,7 +171,9 @@ def _fo_answers(engine, pred, arity, first=None):
 
 def _check_fo_state(engine, prog, stored, rng):
     """Every tabled predicate's open query, and one query with a bound
-    first argument, against the oracle; and the O(1) live counts."""
+    first argument, against the oracle; the O(1) live counts; and the
+    simplification registry, after the update and after the queries."""
+    assert_registry_exact(engine.space)
     model = well_founded_model(ground_fo(prog, prog.rules + stored))
     for pred, arity in prog.idb.items():
         first = rng.choice(prog.consts)
@@ -185,6 +189,7 @@ def _check_fo_state(engine, prog, stored, rng):
     for table in engine.space.tables.values():
         assert table.live_count() == sum(
             1 for a in table.answers.values() if not a.deleted)
+    assert_registry_exact(engine.space)
 
 
 def test_first_order_incremental_agreement():
