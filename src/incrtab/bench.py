@@ -420,7 +420,7 @@ def fresh_social_oracle(facts: list, bindings: list) -> dict:
     engine = Engine()
     engine.consult_text(programs.social_program(True, incremental=False))
     for fact in facts:
-        engine.store.store_dynamic_clause(parse_clause(fact))
+        engine.store.load_clause(parse_clause(fact))
     return social_answers(engine, bindings)
 
 

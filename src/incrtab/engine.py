@@ -175,7 +175,7 @@ class Evaluation:
     def __init__(self, engine: "Engine"):
         self.engine = engine
         self.pending: deque = deque()
-        self.managed: dict = {}        # serial -> Table (incomplete here)
+        self.managed: dict = {}        # serial -> Table (unsettled here)
         self.dep_edges: dict = {}      # serial -> set of serials
         self.subs: dict = {}           # serial -> list[Subscription]
         self.delivery_log: dict = {}   # serial -> list[answer key]
@@ -229,8 +229,6 @@ class Evaluation:
                 break
             serial = self.dirty.popleft()
             self.dirty_set.discard(serial)
-            if self.managed.get(serial) is None:
-                continue
             for sub in self.subs[serial]:
                 self._deliver(sub)
             if self.pending:
@@ -239,9 +237,7 @@ class Evaluation:
 
     def _deliver(self, sub: "Subscription") -> None:
         table = sub.provider
-        log = self.delivery_log.get(table.serial)
-        if log is None:
-            return
+        log = self.delivery_log[table.serial]
         backlog = len(log)
         while sub.next_idx < backlog:
             key = log[sub.next_idx]
@@ -253,12 +249,10 @@ class Evaluation:
                                      sub.delta)
 
     def log_delivery(self, table: Table, key) -> None:
-        log = self.delivery_log.get(table.serial)
-        if log is not None:
-            log.append(key)
-            if table.serial not in self.dirty_set:
-                self.dirty_set.add(table.serial)
-                self.dirty.append(table.serial)
+        self.delivery_log[table.serial].append(key)
+        if table.serial not in self.dirty_set:
+            self.dirty_set.add(table.serial)
+            self.dirty.append(table.serial)
 
     # -- completion ---------------------------------------------------------
 
@@ -286,8 +280,6 @@ class Evaluation:
                 node, it = work[-1]
                 advanced = False
                 for w in it:
-                    if w not in self.managed:
-                        continue
                     if w not in index:
                         index[w] = lowlink[w] = counter[0]
                         counter[0] += 1
@@ -347,12 +339,9 @@ class Engine:
             raise EvaluationTimeout("evaluation deadline exceeded")
 
     def _clauses_for(self, goal: Term, env: Optional[dict] = None):
-        """Clause iterator used by resolution (respects first-arg indexing)."""
-        pred = functor_of(goal)
-        decl = self.store.require_decl(pred)
-        if decl.dynamic:
-            return self.store._dynamic_candidates(pred, goal, env)
-        return self.store.static_candidates(pred, goal, env)
+        """The clauses of goal's declared predicate that may match it, in
+        store order (first-argument indexed)."""
+        return self.store.static_candidates(functor_of(goal), goal, env)
 
     # -- program loading -------------------------------------------------------
 
@@ -376,11 +365,8 @@ class Engine:
             for clause in unit:
                 pred = functor_of(clause.head)
                 decl = self.store.decl_of(pred)
-                if decl is not None and decl.dynamic:
-                    if decl.incremental:
-                        self.store.assert_clause(clause)
-                    else:
-                        self.store.store_dynamic_clause(clause)
+                if decl is not None and decl.dynamic and decl.incremental:
+                    self.store.assert_clause(clause)
                 else:
                     self.store.load_clause(clause)
                     if decl is not None and decl.tabled and decl.incremental \
@@ -474,8 +460,7 @@ class Engine:
                 return True
             if decl.tabled:
                 continue  # tabled non-incremental boundary
-            clauses = self.store.dynamic if decl.dynamic else self.store.static
-            for clause in clauses[pred].items.values():
+            for clause in self.store.clauses[pred].items.values():
                 for lit in clause.body:
                     if lit.atom is not None:
                         work.append(functor_of(lit.atom))
@@ -499,9 +484,6 @@ class Engine:
 
     def _on_update(self, token) -> list:
         pred = (token.decl.name, token.decl.arity)
-        if token.clause is None:
-            self.last_invalid_list = []
-            return []
         clause = token.clause
         leaves = self.idg.leaves_matching(pred, clause.head)
         fact = clause if token.op == "assert" and not clause.body else None
@@ -587,7 +569,7 @@ class Engine:
                 or decl.answer_abstraction is not None \
                 or decl.subgoal_abstraction is not None:
             return False
-        for clause in self.store.static[functor_of(table.subgoal)].items.values():
+        for clause in self.store.clauses[functor_of(table.subgoal)].items.values():
             for lit in clause.body:
                 if lit.kind in (TNOT, SK_NOT, UNDEFINED, CUT):
                     return False
@@ -598,7 +580,7 @@ class Engine:
                 pred = functor_of(lit.atom)
                 ref = self.store.decl_of(pred)
                 if ref is None or not (ref.tabled or ref.dynamic) \
-                        or self.store.rules.get(pred):
+                        or ref.dynamic and self.store.rules.get(pred):
                     return False
         return all(answer.unconditional for answer in table.answers.values())
 
@@ -683,9 +665,9 @@ class Engine:
             self._abstract_alias.clear()
 
     def _unwind(self, evaluation: Evaluation) -> None:
-        """Exception recovery: drop every table left incomplete, after
-        invalidating their completed dependents."""
-        doomed = [t for t in evaluation.managed.values() if t.status != COMPLETED]
+        """Exception recovery: drop every table left incomplete or not yet
+        settled, after invalidating their completed dependents."""
+        doomed = list(evaluation.managed.values())
         doomed += [t for t in self.space.tables.values()
                    if t.status == NEW and t not in doomed]
         for table in doomed:
@@ -960,14 +942,18 @@ class Engine:
     # -- completion ------------------------------------------------------------
 
     def _complete_scc(self, evaluation: Evaluation, tables: list) -> None:
+        """Complete a component and settle its answers.  Its tables stay
+        managed until they are settled, so an exception raised meanwhile
+        drops them (`_unwind`) rather than leaving them half settled."""
         in_scc = {t.serial for t in tables}
         for table in tables:
             table.status = COMPLETED
-            evaluation.managed.pop(table.serial, None)
         self._residual_reduction(tables, in_scc)
         for table in tables:
             if table.in_reeval:
                 self._finish_reeval(table)
+        for table in tables:
+            del evaluation.managed[table.serial]
 
     def _residual_reduction(self, tables: list, in_scc: set) -> None:
         """Settle the conditional answers of a completed component to their

@@ -29,7 +29,6 @@ from .terms import (
     Term,
     Var,
     abstract_depth,
-    arg1_key,
     canonical_key,
     format_term,
     resolve,
@@ -165,9 +164,7 @@ class Idg:
             if leaf.affected_edges:
                 continue  # a later call re-attached it
             del self.leaves[leaf.pred][leaf.key]
-            index = self.leaf_index[leaf.pred]
-            key = arg1_key(leaf.pattern)
-            index.remove(key, [item for _, item in index.buckets[key]].index(leaf))
+            self.leaf_index[leaf.pred].remove(leaf.pattern, leaf)
         self._detached.clear()
 
     def drop_node(self, node: IdgNode) -> None:

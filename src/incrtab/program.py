@@ -1,10 +1,14 @@
-"""Clause database: predicate declarations, static rules, dynamic incremental
-facts/rules, and the assert/retract entry points that feed invalidation.
+"""Clause database: predicate declarations, one clause index per
+predicate, and the assert/retract entry points that feed invalidation.
 
-Each predicate's clauses live in one `terms.Arg1Index`: static clauses in
-source order, dynamic clauses in assert order, filed under the key of their
-first argument.  Variants share that key, so `retract_clause` looks for the
-first stored variant in one index bucket only.
+Each predicate's clauses live in one `terms.Arg1Index`, filed under the
+key of their first argument: a static predicate's clauses in source order,
+a dynamic one's in assert order.  Consult stores static clauses and those
+of non-incremental dynamic predicates (`load_clause`); a dynamic
+incremental predicate changes only through `assert_clause` and
+`retract_clause`, which invalidate before they store or remove.  Variants
+share their first-argument key, so `retract_clause` looks for the first
+stored variant in one index bucket only.
 """
 
 from __future__ import annotations
@@ -107,18 +111,17 @@ class UpdateToken:
 
 
 class ProgramStore:
-    """Declarations plus static and dynamic clauses.
+    """Declarations plus one clause index per declared predicate.
 
-    Static clauses keep source order, dynamic clauses assert order; both
-    are indexed on the key of their first argument.  A clause asserted twice
-    is stored twice.
+    A predicate's clauses are indexed on the key of their first argument,
+    static ones in source order, dynamic ones in assert order.  A clause
+    asserted twice is stored twice.
     """
 
     def __init__(self):
         self.decls: dict = {}     # (name, arity) -> PredicateDecl
-        self.static: dict = {}    # (name, arity) -> Arg1Index of Clause
-        self.dynamic: dict = {}   # (name, arity) -> Arg1Index of Clause
-        self.rules: dict = {}     # (name, arity) -> number of its dynamic rules
+        self.clauses: dict = {}   # (name, arity) -> Arg1Index of Clause
+        self.rules: dict = {}     # (name, arity) -> number of its stored rules
         self.on_update = None     # hook installed by the engine
 
     # -- declarations --------------------------------------------------
@@ -159,12 +162,13 @@ class ProgramStore:
             # Redeclaration with identical attributes is a no-op.
             return
         self.decls[key] = decl
-        (self.dynamic if decl.dynamic else self.static)[key] = Arg1Index()
+        self.clauses[key] = Arg1Index()
 
-    def ensure_declared(self, pred: tuple, *, dynamic=False, tabled=False, incremental=False) -> PredicateDecl:
+    def ensure_declared(self, pred: tuple) -> PredicateDecl:
+        """pred's declaration, declaring it static when it has none."""
         decl = self.decls.get(pred)
         if decl is None:
-            decl = PredicateDecl(pred[0], pred[1], dynamic=dynamic, tabled=tabled, incremental=incremental)
+            decl = PredicateDecl(pred[0], pred[1])
             self.declare(decl)
         return decl
 
@@ -202,36 +206,24 @@ class ProgramStore:
                     )
 
     def load_clause(self, clause: Clause) -> None:
+        """Consult-time entry point: store a clause without producing an
+        update token.  A dynamic incremental predicate's clauses must go
+        through `assert_clause`, which invalidates the tables they feed."""
         pred = functor_of(clause.head)
         decl = self.ensure_declared(pred)
-        if decl.dynamic:
+        if decl.dynamic and decl.incremental:
             raise PermissionViolation(
-                f"{decl.indicator} is dynamic; use assert_clause"
+                f"{decl.indicator} is dynamic incremental; use assert_clause"
             )
         self._validate_body(decl, clause)
-        self.static[pred].add(clause.head, clause)
+        self._add(pred, clause)
 
-    def static_candidates(self, pred: tuple, goal: Term,
-                          env: Optional[dict] = None) -> list:
-        """Static clauses possibly matching goal, in source order."""
-        return [c for _, c in self.static[pred].matching(goal, env)]
-
-    # -- dynamic updates -----------------------------------------------
-
-    def store_dynamic_clause(self, clause: Clause) -> PredicateDecl:
-        """Consult-time entry point: store without producing an update token."""
-        pred = functor_of(clause.head)
-        decl = self.require_decl(pred)
-        if not decl.dynamic:
-            raise PermissionViolation(f"{decl.indicator} is not dynamic")
-        self._validate_body(decl, clause)
-        self._add_dynamic(pred, clause)
-        return decl
-
-    def _add_dynamic(self, pred: tuple, clause: Clause) -> None:
-        self.dynamic[pred].add(clause.head, clause)
+    def _add(self, pred: tuple, clause: Clause) -> None:
+        self.clauses[pred].add(clause.head, clause)
         if clause.body:
             self.rules[pred] = self.rules.get(pred, 0) + 1
+
+    # -- dynamic updates -----------------------------------------------
 
     def assert_clause(self, clause: Clause) -> UpdateToken:
         pred = functor_of(clause.head)
@@ -245,7 +237,7 @@ class ProgramStore:
         # Invalidate before storing, so that a failed update changes nothing.
         if self.on_update is not None:
             self.on_update(token)
-        self._add_dynamic(pred, clause)
+        self._add(pred, clause)
         return token
 
     def retract_clause(self, clause: Clause) -> UpdateToken:
@@ -257,10 +249,9 @@ class ProgramStore:
             )
         # Variants share their first-argument key: the first stored variant
         # is the first one in that key's bucket.
-        index = self.dynamic[pred]
-        key = arg1_key(clause.head)
+        index = self.clauses[pred]
         target_key = _clause_variant_key(clause)
-        for pos, (_, stored) in enumerate(index.buckets.get(key, ())):
+        for _, stored in index.buckets.get(arg1_key(clause.head), ()):
             if _clause_variant_key(stored) == target_key:
                 break
         else:
@@ -268,17 +259,22 @@ class ProgramStore:
         token = UpdateToken("retract", stored, decl)
         if self.on_update is not None:
             self.on_update(token)
-        index.remove(key, pos)
+        index.remove(stored.head, stored)
         if stored.body:
             self.rules[pred] -= 1
         return token
 
     # -- resolution feed -------------------------------------------------
 
-    def _dynamic_candidates(self, pred: tuple, goal: Term,
-                            env: Optional[dict] = None) -> list:
-        """Dynamic clauses possibly matching goal, in assert order."""
-        return [c for _, c in self.dynamic[pred].matching(goal, env)]
+    def static_candidates(self, pred: tuple, goal: Term,
+                          env: Optional[dict] = None) -> list:
+        """Clauses of pred possibly matching goal, in source or assert
+        order."""
+        return [c for _, c in self.clauses[pred].matching(goal, env)]
+
+    # The engine selects through `static_candidates` only; this alias stays
+    # bound because perfbench/tracing.py wraps both names.
+    _dynamic_candidates = static_candidates
 
 
 def literal_key(lit: Literal, numbering: dict) -> tuple:

@@ -217,7 +217,6 @@ class TableSpace:
             "simplify_deleted": 0,
         }
         self._event_queue: list = []
-        self._processing = False
         self._serial = 0              # serial of the last table added
 
     # -- lookup ----------------------------------------------------------
@@ -425,18 +424,12 @@ class TableSpace:
         self._event_queue.append(event)
 
     def _run_events(self) -> None:
-        if self._processing:
-            return
-        self._processing = True
-        try:
-            while self._event_queue:
-                kind, table, answer = self._event_queue.pop()
-                if kind == "true":
-                    self._on_answer_true(table, answer)
-                else:
-                    self._on_answer_false(table, answer)
-        finally:
-            self._processing = False
+        while self._event_queue:
+            kind, table, answer = self._event_queue.pop()
+            if kind == "true":
+                self._on_answer_true(table, answer)
+            else:
+                self._on_answer_false(table, answer)
 
     def _dependents(self, key) -> Iterator[tuple]:
         """(table, answer, dlist, literal) for each literal registered under

@@ -165,11 +165,16 @@ class Arg1Index:
             return open_first
         return sorted(keyed + open_first)
 
-    def remove(self, key, pos: int) -> None:
-        """Remove the entry at position pos of the bucket filed under key,
-        and the bucket once it is empty."""
+    def remove(self, atom: Term, item) -> None:
+        """Remove the first entry holding item itself from the bucket of
+        atom's key, and the bucket once it is empty.  item must be in that
+        bucket: it was added with an atom of the same key."""
+        key = arg1_key(atom)
         bucket = self.buckets[key]
-        seq, _ = bucket.pop(pos)
+        for pos, (seq, held) in enumerate(bucket):
+            if held is item:
+                break
+        del bucket[pos]
         del self.items[seq]
         if not bucket:
             del self.buckets[key]

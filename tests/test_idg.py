@@ -398,7 +398,7 @@ def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatc
     assert engine.last_invalid_list
 
     pred = ("edge", 2)
-    bucket_size = len(engine.store.dynamic[pred].buckets[arg1_key(fresh.head)])
+    bucket_size = len(engine.store.clauses[pred].buckets[arg1_key(fresh.head)])
     assert bucket_size >= 2
     variant_keys = []
     original_variant_key = incrtab.program._clause_variant_key
@@ -408,11 +408,11 @@ def test_update_tests_only_indexed_leaves_and_retract_only_one_bucket(monkeypatc
         return original_variant_key(clause)
 
     monkeypatch.setattr(incrtab.program, "_clause_variant_key", counting_variant_key)
-    stored = len(engine.store.dynamic[pred].items)
+    stored = len(engine.store.clauses[pred].items)
     token = engine.store.retract_clause(parse_clause(f"edge({source},0)."))
     assert token.clause is fresh
     assert len(variant_keys) <= bucket_size + 1  # the bucket and the target
-    assert len(engine.store.dynamic[pred].items) == stored - 1
+    assert len(engine.store.clauses[pred].items) == stored - 1
 
 
 def test_leaves_without_affected_edges_are_dropped():
@@ -431,7 +431,7 @@ def test_leaves_without_affected_edges_are_dropped():
         assert list(engine.idg.leaf_index[pred].items.values()) == every_leaf
         assert all(leaf.affected_edges for leaf in every_leaf)
         assert all(engine.idg.leaf_index[pred].buckets.values())
-        assert all(engine.store.dynamic[pred].buckets.values())
+        assert all(engine.store.clauses[pred].buckets.values())
         return every_leaf
 
     base = leaves()

@@ -4,10 +4,11 @@ informational cases, and abolish."""
 import pytest
 
 from incrtab.engine import Engine
-from incrtab.errors import ExistenceError, InternalStateError
+from incrtab.errors import ExistenceError, InternalStateError, PermissionViolation
 from incrtab.idg import Idg
 from incrtab.parser import parse_clause
 from incrtab.program import Clause
+from incrtab.tables import TableSpace
 from incrtab.terms import Const, Var, format_term, mk
 
 
@@ -330,7 +331,7 @@ def test_failed_assert_stores_nothing(monkeypatch):
         patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
         with pytest.raises(RuntimeError):
             engine.store.assert_clause(parse_clause("lst(a)."))
-    assert len(engine.store.dynamic[("lst", 1)].items) == 1
+    assert len(engine.store.clauses[("lst", 1)].items) == 1
     assert answers_of(engine.query("len(X,N)")) == before
     engine.store.assert_clause(parse_clause("lst(a)."))
     assert answers_of(engine.query("len(X,N)")) == [
@@ -346,7 +347,7 @@ def test_failed_retract_keeps_clause(monkeypatch):
         patch.setattr(Idg, "leaves_matching", fail_leaf_matching)
         with pytest.raises(RuntimeError):
             engine.store.retract_clause(parse_clause("lst(a)."))
-    assert len(engine.store.dynamic[("lst", 1)].items) == 2
+    assert len(engine.store.clauses[("lst", 1)].items) == 2
     assert answers_of(engine.query("len(X,N)")) == before
     engine.store.retract_clause(parse_clause("lst(a)."))
     assert answers_of(engine.query("len(X,N)")) == [(("nil", 1), "true")]
@@ -393,6 +394,28 @@ def test_interrupt_during_lazy_reeval_leaves_engine_usable(monkeypatch):
     fresh.consult_text(REACH + "edge(3,4).\n")
     for goal in ("reach(X,Y)", "reach(1,Y)", "reach(X,Y)"):
         assert answers_of(engine.query(goal)) == answers_of(fresh.query(goal))
+
+
+def test_interrupt_while_settling_drops_the_component(monkeypatch):
+    """p's answer is conditional on tnot(q) until the component {p, q}
+    completes, and strengthened to true when it settles; interrupted there,
+    the component is dropped, not kept half settled."""
+    program = ":- table p/0, q/0, r/0.\np :- tnot(q).\nq :- tnot(p), r.\n"
+    engine = Engine()
+    engine.consult_text(program)
+    original = TableSpace.strengthen_answer
+
+    def interrupting(self, table, answer):
+        monkeypatch.setattr(TableSpace, "strengthen_answer", original)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(TableSpace, "strengthen_answer", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        engine.query("p")
+    assert TableSpace.strengthen_answer is original
+    # r, its own component, was settled first; p and q were not
+    assert [row["subgoal"] for row in engine.space.snapshot()] == ["r"]
+    assert answers_of(engine.query("p")) == [((), "true")]
 
 
 def test_query_during_evaluation_is_refused(monkeypatch):
@@ -456,7 +479,7 @@ def test_deep_dynamic_fact_assert_and_retract(depth):
     rows = answers_of(engine.query("len(X,N)"))
     assert rows == sorted(shallow + [((deep_text(depth), 1), "true")])
     engine.store.retract_clause(Clause(mk("lst", deep_term(depth)), []))
-    assert len(engine.store.dynamic[("lst", 1)].items) == 2
+    assert len(engine.store.clauses[("lst", 1)].items) == 2
     assert answers_of(engine.query("len(X,N)")) == shallow
 
 
@@ -541,6 +564,40 @@ def test_retract_matching_no_leaf_keeps_the_table_reopenable():
     assert engine.stats.semi_naive == 1
     assert got == fresh_answers(program.replace("edge(7,8).", ""), "reach(1,Y)",
                                 ["edge(3,4)."])
+
+
+def test_consulted_non_incremental_dynamic_rule():
+    """A rule of a non-incremental dynamic predicate, stored by consult, is
+    selected like any clause; a re-open is not refused for it, nor for the
+    static rules of the table itself."""
+    program = REACH + """
+:- dynamic hop/2.
+hop(X,Y) :- base(X,Z), base(Z,Y).
+base(1,2). base(2,3).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("hop(X,Y)")) == [((1, 3), "true")]
+    list(engine.query("reach(X,Y)"))
+    engine.store.assert_clause(parse_clause("edge(3,4)."))
+    assert answers_of(engine.query("reach(X,Y)")) == fresh_answers(
+        program, "reach(X,Y)", ["edge(3,4)."])
+    assert engine.stats.semi_naive == 1
+
+
+def test_load_clause_refuses_dynamic_incremental_clauses():
+    """A dynamic incremental predicate's clauses go through assert_clause,
+    which invalidates the tables they feed; load_clause stores none."""
+    engine = Engine()
+    engine.consult_text(":- table t/1 as incremental.\n"
+                        ":- dynamic p/1 as incremental.\n"
+                        "t(X) :- p(X).\np(1).\n")
+    assert answers_of(engine.query("t(X)")) == [((1,), "true")]
+    with pytest.raises(PermissionViolation):
+        engine.store.load_clause(parse_clause("p(2)."))
+    assert len(engine.store.clauses[("p", 1)].items) == 1
+    assert answers_of(engine.query("p(X)")) == [((1,), "true")]
+    assert answers_of(engine.query("t(X)")) == [((1,), "true")]
 
 
 def test_consult_abolishes_tables_given_static_clauses():

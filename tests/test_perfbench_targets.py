@@ -49,3 +49,20 @@ def test_tracer_counts_candidates_and_hits_exactly():
     assert tracer.count["program.candidates"] == 4
     assert tracer.count["program.candidate_hits"] == 2
     assert tracer.calls["terms.rename"] == 1    # the rule; facts are ground
+
+
+def test_tracer_counts_candidates_and_hits_exactly_on_dynamic_clauses():
+    """The same counts when the called facts belong to a non-incremental
+    dynamic predicate, whose clauses consult stores in the same index."""
+    tracing = load_tracing()
+    engine = Engine()
+    engine.consult_text(":- table p/1.\n"
+                        ":- dynamic e/2.\n"
+                        "p(X) :- e(X, q).\n"
+                        "e(a, r). e(c, r). e(b, q).\n")
+    with tracing.Tracer() as tracer:
+        got = [terms for terms, _ in engine.query("p(X)")]
+    assert [t[0].value for t in got] == ["b"]
+    assert tracer.count["program.candidates"] == 4
+    assert tracer.count["program.candidate_hits"] == 2
+    assert tracer.calls["terms.rename"] == 1

@@ -39,7 +39,7 @@ def test_declare_dynamic_with_abstraction():
 def test_declare_incremental_table_over_dynamic_is_permission_error():
     store = ProgramStore()
     store.declare(PredicateDecl("p", 1, dynamic=True, incremental=True))
-    store.store_dynamic_clause(parse_clause("p(1)."))
+    store.assert_clause(parse_clause("p(1)."))
     with pytest.raises(PermissionViolation):
         store.declare(PredicateDecl("p", 1, tabled=True, incremental=True))
 
@@ -100,7 +100,7 @@ def test_assert_then_retract_roundtrip():
     store.assert_clause(parse_clause("edge(1,2)."))
     token = store.retract_clause(parse_clause("edge(1,2)."))
     assert token.clause is not None
-    assert not store.dynamic[("edge", 2)].items
+    assert not store.clauses[("edge", 2)].items
 
 
 def test_retract_absent_fact_is_noop_token():
@@ -114,7 +114,7 @@ def test_retract_removes_first_variant_only():
     store.assert_clause(parse_clause("edge(1,2)."))
     store.assert_clause(parse_clause("edge(1,2)."))
     store.retract_clause(parse_clause("edge(1,2)."))
-    assert len(store.dynamic[("edge", 2)].items) == 1
+    assert len(store.clauses[("edge", 2)].items) == 1
 
 
 def test_matching_clauses_unknown_predicate():
@@ -129,7 +129,7 @@ def test_matching_clauses_first_argument_indexing():
     store.assert_clause(parse_clause("p(f(1))."))
     store.assert_clause(parse_clause("p(g(2))."))
     goal = mk("p", mk("f", Var("X")))
-    matches = store._dynamic_candidates(("p", 1), goal)
+    matches = store.static_candidates(("p", 1), goal)
     assert len(matches) == 1
     head, _ = matches[0].rename()
     assert unify(goal, head) is not None
@@ -146,7 +146,7 @@ def test_clause_order_stable_across_interleaved_updates():
     store.assert_clause(parse_clause("p(4)."))
     goal = mk("p", Var("X"))
     values = [clause.head.args[0].value
-              for clause in store._dynamic_candidates(("p", 1), goal)]
+              for clause in store.static_candidates(("p", 1), goal)]
     assert values == [1, 3, 4]
 
 
@@ -157,10 +157,10 @@ def test_reasserted_clause_object_is_stored_twice():
     store.assert_clause(clause)
     store.assert_clause(clause)
     pred = ("p", 2)
-    assert store._dynamic_candidates(pred, mk("p", "a", Var("Y"))) == [clause, clause]
-    assert store._dynamic_candidates(pred, mk("p", Var("X"), Var("Y"))) == [clause, clause]
+    assert store.static_candidates(pred, mk("p", "a", Var("Y"))) == [clause, clause]
+    assert store.static_candidates(pred, mk("p", Var("X"), Var("Y"))) == [clause, clause]
     store.retract_clause(parse_clause("p(a,1)."))
-    index = store.dynamic[pred]
+    index = store.clauses[pred]
     assert list(index.items.values()) == [clause]
     assert list(index.buckets.values()) == [list(index.items.items())]
 
@@ -174,7 +174,7 @@ def test_keyed_and_open_goals_list_clauses_in_assert_order():
     store.assert_clause(first_parsed)
     for goal in (mk("p", "a", Var("Y")), mk("p", Var("X"), Var("Y"))):
         values = [c.head.args[1].value
-                  for c in store._dynamic_candidates(("p", 2), goal)]
+                  for c in store.static_candidates(("p", 2), goal)]
         assert values == [2, 1]
 
 
@@ -187,7 +187,7 @@ def test_retract_takes_first_variant_in_assert_order():
     store.assert_clause(parsed_first)
     token = store.retract_clause(parse_clause("p(Y,b)."))
     assert token.clause is parsed_second
-    assert list(store.dynamic[("p", 2)].items.values()) == [parsed_first]
+    assert list(store.clauses[("p", 2)].items.values()) == [parsed_first]
 
 
 _CLAUSE_TEXTS = st.builds(
@@ -221,7 +221,7 @@ def test_retract_matches_brute_force_first_variant(ops):
             assert token.clause is None
         else:
             assert token.clause is model.pop(first)
-        stored = store.dynamic[pred]
+        stored = store.clauses[pred]
         assert list(stored.items.values()) == model
         for key, entries in stored.buckets.items():
             seqs = [seq for seq, _ in entries]
@@ -254,7 +254,7 @@ def test_retract_matches_brute_force_first_variant(ops):
         assert all(c in candidates for c in loaded
                    if unify(mk("p", resolved, Var("Y")), mk("p", c.head.args[0], Var("Z")))
                    is not None)
-        assert store._dynamic_candidates(pred, goal, env) == brute(model)
+        assert store.static_candidates(pred, goal, env) == brute(model)
 
 
 def test_update_tokens_reference_dynamic_incremental():

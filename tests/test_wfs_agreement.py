@@ -10,6 +10,7 @@ from collections import Counter
 
 from incrtab.engine import Engine
 from incrtab.parser import parse_clause
+from incrtab.tables import INCOMPLETE, TableSpace
 from incrtab.terms import Const, format_term
 
 from genprog import (
@@ -192,41 +193,113 @@ def _check_fo_state(engine, prog, stored, rng):
     assert_registry_exact(engine.space)
 
 
+def _fo_updates(seed, after_update):
+    """Run seed's random first-order program through its random asserts and
+    retracts of facts and dynamic rules, calling after_update(engine, prog,
+    stored, rng) after the initial facts and after each update; returns the
+    engine."""
+    rng = random.Random(seed)
+    prog = random_fo_program(rng, definite=rng.random() < 0.8)
+    engine = Engine()
+    engine.consult_text(fo_program_text(prog))
+    stored = []   # (head, body) of every stored dynamic clause
+    for _ in range(rng.randint(2, 6)):
+        stored.append((random_fo_fact(rng, prog), []))
+        engine.store.assert_clause(parse_clause(fo_clause_text(*stored[-1])))
+    after_update(engine, prog, stored, rng)
+    for _ in range(rng.randint(4, 10)):
+        roll = rng.random()
+        rules = [c for c in stored if c[1]]
+        if roll < 0.15 and rules:
+            clause = rng.choice(rules)
+        elif roll < 0.35:
+            clause = (random_fo_fact(rng, prog), [])
+            if stored and rng.random() < 0.8:
+                clause = rng.choice(stored)
+        else:
+            clause = random_fo_dynamic_rule(rng, prog) if roll < 0.45 else None
+            clause = clause or (random_fo_fact(rng, prog), [])
+            engine.store.assert_clause(parse_clause(fo_clause_text(*clause)))
+            stored.append(clause)
+            after_update(engine, prog, stored, rng)
+            continue
+        token = engine.store.retract_clause(parse_clause(fo_clause_text(*clause)))
+        if token.clause is not None:
+            stored.remove(clause)
+        after_update(engine, prog, stored, rng)
+    return engine
+
+
 def test_first_order_incremental_agreement():
     """Random first-order programs under interleaved asserts and retracts of
     facts and dynamic rules agree with the oracle after every update; at
     least half of the runs re-open a table (semi-naive re-evaluation)."""
     runs = reopened = 0
     for seed in range(400):
-        rng = random.Random(seed)
-        prog = random_fo_program(rng, definite=rng.random() < 0.8)
-        engine = Engine()
-        engine.consult_text(fo_program_text(prog))
-        stored = []   # (head, body) of every stored dynamic clause
-        for _ in range(rng.randint(2, 6)):
-            stored.append((random_fo_fact(rng, prog), []))
-            engine.store.assert_clause(parse_clause(fo_clause_text(*stored[-1])))
-        _check_fo_state(engine, prog, stored, rng)
-        for _ in range(rng.randint(4, 10)):
-            roll = rng.random()
-            rules = [c for c in stored if c[1]]
-            if roll < 0.15 and rules:
-                clause = rng.choice(rules)
-            elif roll < 0.35:
-                clause = (random_fo_fact(rng, prog), [])
-                if stored and rng.random() < 0.8:
-                    clause = rng.choice(stored)
-            else:
-                clause = random_fo_dynamic_rule(rng, prog) if roll < 0.45 else None
-                clause = clause or (random_fo_fact(rng, prog), [])
-                engine.store.assert_clause(parse_clause(fo_clause_text(*clause)))
-                stored.append(clause)
-                _check_fo_state(engine, prog, stored, rng)
-                continue
-            token = engine.store.retract_clause(parse_clause(fo_clause_text(*clause)))
-            if token.clause is not None:
-                stored.remove(clause)
-            _check_fo_state(engine, prog, stored, rng)
+        engine = _fo_updates(seed, _check_fo_state)
         runs += 1
         reopened += engine.stats.semi_naive > 0
     assert 2 * reopened >= runs, (reopened, runs)
+
+
+class Injected(BaseException):
+    """The injected fault: like KeyboardInterrupt, not an Exception."""
+
+
+def _interrupt_one_query_per_update(monkeypatch, targets, k_max, seeds):
+    """The first-order fuzzer with a fault injected after each update: one
+    open query on a random tabled predicate is interrupted at the k-th call
+    (k random in 1..k_max) made to any of targets, (owner, method name)
+    pairs, and then the whole state is checked against the oracle.  Returns
+    the number of queries interrupted."""
+    countdown = [0]
+
+    def interrupting(original):
+        def call(*args, **kwargs):
+            if countdown[0]:
+                countdown[0] -= 1
+                if not countdown[0]:
+                    raise Injected
+            return original(*args, **kwargs)
+        return call
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, interrupting(getattr(owner, name)))
+    interrupts = 0
+
+    def interrupt_then_check(engine, prog, stored, rng):
+        nonlocal interrupts
+        pred, arity = rng.choice(list(prog.idb.items()))
+        countdown[0] = rng.randint(1, k_max)
+        try:
+            _fo_answers(engine, pred, arity)
+        except Injected:
+            interrupts += 1
+        countdown[0] = 0
+        assert all(table.status != INCOMPLETE
+                   for table in engine.space.tables.values())
+        _check_fo_state(engine, prog, stored, rng)
+
+    for seed in seeds:
+        _fo_updates(seed, interrupt_then_check)
+    return interrupts
+
+
+def test_interrupted_evaluation_steps_agree_with_the_oracle(monkeypatch):
+    """An evaluation interrupted at any of its first 40 steps leaves the
+    engine in agreement with the oracle."""
+    interrupts = _interrupt_one_query_per_update(
+        monkeypatch, [(Engine, "_step")], 40, range(200))
+    assert interrupts >= 200
+
+
+def test_interrupted_settlement_agrees_with_the_oracle(monkeypatch):
+    """An evaluation interrupted while it settles answers -- strengthening,
+    deleting, finishing a re-evaluation or simplifying after an answer
+    became true -- leaves the engine in agreement with the oracle."""
+    interrupts = _interrupt_one_query_per_update(
+        monkeypatch,
+        [(TableSpace, "strengthen_answer"), (TableSpace, "delete_answer"),
+         (TableSpace, "finalize_reeval"), (TableSpace, "_on_answer_true")],
+        4, range(300))
+    assert interrupts >= 100
