@@ -3,11 +3,12 @@
 A cursor iterates the live answer store in insertion order, over the keys
 present when it was opened.  A re-evaluation that only appends answers (a
 re-opened table, see `engine.Engine._reopen`) leaves open cursors live.
-When the table is about to be re-derived from scratch (or mutated by
-simplification) while cursors are open, the unconsumed suffix of every open
-cursor is copied into an immutable snapshot and the cursor switches to
-snapshot mode.  Either way it yields exactly the answers that were present
-when it was opened.
+When the table is about to be re-derived from scratch, or an answer of it
+is about to change in place (strengthened or deleted by simplification,
+also while a re-opened table evaluates), while cursors are open, the
+unconsumed suffix of every open cursor is copied into an immutable
+snapshot and the cursor switches to snapshot mode.  Either way it yields
+exactly the answers, with the truth values, present when it was opened.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ def open_cursor(table: Table) -> Cursor:
 def preserve_views(table: Table) -> None:
     """Snapshot the unconsumed suffix of every open cursor on table.
 
-    Called before a re-evaluation, an abolish or a simplification mutates a
-    completed table.  The cursors leave `table.cursors`, which holds live
+    Called before a re-derivation, an abolish or a simplification mutates a
+    table.  The cursors leave `table.cursors`, which holds live
     cursors only: a snapshot cursor no longer reads the table.
     """
     live = table.cursors

@@ -13,10 +13,13 @@ Tables invalidated by earlier updates re-enter evaluation through the same
 machinery: a call to an invalid table enlists it inside the active
 evaluation, in one of two ways chosen by `Engine._can_reopen`:
 
-- re-opened (semi-naive, after inserts only): a definite table that only
-  facts asserted through its own call patterns invalidated keeps its
-  answers and IDG edges, and derives only what uses one of those facts
-  (its node's `delta` log) or one of its own new answers;
+- re-opened (semi-naive, after inserts only): a negation-free table that
+  only facts asserted through its own call patterns invalidated keeps its
+  answers, their delay lists and its IDG edges, and derives only what uses
+  one of those facts (its node's `delta` log) or one of its own new
+  answers.  An insert can only raise its truth values: a derivation that
+  reaches an old conditional answer unconditionally strengthens it, and
+  the simplification registry passes that on to the answers waiting on it;
 - re-derived (every other table): its answers are marked, derived again
   from scratch, and the marked answers not derived again are removed.
 
@@ -183,6 +186,7 @@ class Evaluation:
         self.dirty_set: set = set()
         self.catchup: deque = deque()  # fresh subscriptions with backlog
         self.deltas: dict = {}         # (serial, pred) -> Arg1Index of delta clauses
+        self.reopened: set = set()     # serials of the tables re-opened here
 
     # -- table management -------------------------------------------------
 
@@ -560,10 +564,13 @@ class Engine:
         """The one test for semi-naive re-evaluation: its node's `delta`
         is a list, so only facts asserted through its call patterns
         invalidated it; it has no answer or subgoal abstraction; its clauses
-        are definite, each positive literal calling a tabled or a dynamic
+        are negation-free (no tnot/1, sk_not/1 or cut; `undefined` is
+        allowed), each positive literal calling a tabled or a dynamic
         predicate (a non-tabled static one would be inlined, hiding new
-        facts); no dynamic predicate they call holds a rule (it would be
-        inlined too); and it has no conditional answer."""
+        facts); and no dynamic predicate they call holds a rule (it would be
+        inlined too).  Its residual program is then positive over the fixed
+        truth values of the tables it calls, so an insert can only raise
+        its answers: false -> undefined -> true."""
         decl = table.decl
         if table.idg_node.delta is None or decl is None \
                 or decl.answer_abstraction is not None \
@@ -571,7 +578,7 @@ class Engine:
             return False
         for clause in self.store.clauses[functor_of(table.subgoal)].items.values():
             for lit in clause.body:
-                if lit.kind in (TNOT, SK_NOT, UNDEFINED, CUT):
+                if lit.kind in (TNOT, SK_NOT, CUT):
                     return False
                 if lit.kind != POS:
                     continue
@@ -582,7 +589,7 @@ class Engine:
                 if ref is None or not (ref.tabled or ref.dynamic) \
                         or ref.dynamic and self.store.rules.get(pred):
                     return False
-        return all(answer.unconditional for answer in table.answers.values())
+        return True
 
     def _reopen(self, evaluation: Evaluation, table: Table) -> None:
         """Semi-naive re-evaluation after inserts (Bancilhon & Ramakrishnan,
@@ -592,14 +599,18 @@ class Engine:
         body literal that calls a predicate with delta clauses (made a
         DELTA call) or the table's own (a NEW_ANSWERS call); the other
         literals stay ordinary calls, so every derivation through a delta
-        clause or a new answer is found.  Answers are only appended, so
-        open cursors keep their views."""
+        clause or a new answer is found.  Old answers keep their delay
+        lists; one derived again unconditionally is strengthened in place
+        (`TableSpace.add_answer`), which snapshots open cursors first.
+        Otherwise answers are only appended, so open cursors keep their
+        views."""
         node = table.idg_node
         self.stats.semi_naive += 1
         for child in node.dependent_edges:
             # the edges are kept: a later update through them must count
             child.affected_edges[node] = False
         evaluation.manage(table)
+        evaluation.reopened.add(table.serial)
         evaluation.delivery_log[table.serial].extend(table.answers)
         for fact in node.delta:
             key = (table.serial, functor_of(fact.head))
@@ -625,11 +636,17 @@ class Engine:
                 evaluation.pending.append(
                     Continuation(table, literals, 0, dict(env), ()))
 
-    def _finish_reeval(self, table: Table) -> None:
+    def _finish_reeval(self, table: Table, reopened: bool) -> None:
+        """Close a re-evaluation and keep its outcome on the node.  A
+        re-derivation removes the marked answers not derived again, and
+        one that weakened an answer changed the table.  A re-opened table
+        has no marks and cannot weaken an answer, so none is scanned."""
         node = table.idg_node
-        removed, weakened = self.space.finalize_reeval(table)
-        if weakened:
-            node.new_answer = True
+        removed = weakened = ()
+        if not reopened:
+            removed, weakened = self.space.finalize_reeval(table)
+            if weakened:
+                node.new_answer = True
         new_count = table.live_count()
         old_count = node.previous_count
         table.in_reeval = False
@@ -948,27 +965,45 @@ class Engine:
         in_scc = {t.serial for t in tables}
         for table in tables:
             table.status = COMPLETED
-        self._residual_reduction(tables, in_scc)
+        self._residual_reduction(evaluation, tables, in_scc)
         for table in tables:
             if table.in_reeval:
-                self._finish_reeval(table)
+                self._finish_reeval(table, table.serial in evaluation.reopened)
         for table in tables:
             del evaluation.managed[table.serial]
 
-    def _residual_reduction(self, tables: list, in_scc: set) -> None:
+    def _residual_reduction(self, evaluation: Evaluation, tables: list,
+                            in_scc: set) -> None:
         """Settle the conditional answers of a completed component to their
-        well-founded truth values."""
+        well-founded truth values.  A table without conditional answers is
+        not scanned.  Of a re-opened table only the answers added in this
+        evaluation are settled: its clauses are negation-free, so an insert
+        cannot make an old conditional answer unfounded, and one made true
+        is strengthened by the simplification registry.  Its old ones count
+        as undefined here, unless a negative literal loops through the
+        component; then all are settled."""
         rules: dict = {}      # (serial, key) -> list of delay-lists (literal lists)
-        facts: set = set()
         conditional: list = []
-        for table in tables:
-            for answer in table.live_answers():
+
+        def settle(table, answers):
+            for answer in answers:
                 prop = (table.serial, answer.key)
-                if answer.unconditional:
-                    facts.add(prop)
-                else:
-                    conditional.append((table, answer))
-                    rules[prop] = [dl for dl in answer.delay_lists if not dl.falsified]
+                if answer.unconditional or prop in rules:
+                    continue
+                conditional.append((table, answer))
+                rules[prop] = [dl for dl in answer.delay_lists if not dl.falsified]
+
+        reopened = evaluation.reopened
+        for table in tables:
+            if not table.conditional_count():
+                continue
+            if table.serial not in reopened:
+                settle(table, table.live_answers())
+                continue
+            new = evaluation.delivery_log[table.serial][
+                table.idg_node.previous_count:]
+            settle(table, [table.answers[key] for key in new
+                           if key in table.answers])
         if not conditional:
             return
 
@@ -978,18 +1013,18 @@ class Engine:
                 return undef_val
             ptable = lit.table
             if lit.sign == POS_LIT:
-                prop = (ptable.serial, lit.answer_key)
                 pans = ptable.answers.get(lit.answer_key)
                 if pans is None or pans.deleted:
                     return False
-                if ptable.serial in in_scc:
-                    return prop in facts or prop in current
-                return pans.unconditional or undef_val
+                prop = (ptable.serial, lit.answer_key)
+                if prop in rules:
+                    return prop in current
+                # true, or undefined and settled outside this reduction
+                return not pans.delay_lists or undef_val
             # negative literal
             if ptable.serial in in_scc:
                 for pans in ptable.covering_answers(lit.atom):
-                    prop = (ptable.serial, pans.key)
-                    if prop in facts or prop in interp:
+                    if not pans.delay_lists or (ptable.serial, pans.key) in interp:
                         return False
                 return True
             if ptable.has_unconditional_covering(lit.atom):
@@ -999,7 +1034,7 @@ class Engine:
             return True
 
         def gamma(interp: set, undef_val: bool) -> set:
-            result = set(facts)
+            result: set = set()
             changed = True
             while changed:
                 changed = False
@@ -1020,6 +1055,10 @@ class Engine:
         negative_loop = any(
             lit.sign == NEG and lit.table.serial in in_scc
             for dls in rules.values() for dl in dls for lit in dl.literals)
+        if negative_loop:
+            for table in tables:
+                if table.serial in reopened:
+                    settle(table, table.live_answers())
         overestimate = gamma(set(), True)
         true_set = gamma(overestimate, False)
         while negative_loop:

@@ -140,7 +140,7 @@ class Table:
 
     __slots__ = (
         "serial", "subgoal", "subst_vars", "decl", "answers", "status",
-        "idg_node", "cursors", "in_reeval", "cut_hit", "_live",
+        "idg_node", "cursors", "in_reeval", "cut_hit", "_live", "_conditional",
     )
 
     def __init__(self, serial: int, subgoal: Term, decl):
@@ -155,6 +155,7 @@ class Table:
         self.in_reeval = False
         self.cut_hit = False
         self._live = 0               # answers not marked deleted
+        self._conditional = 0        # of those, the ones with delay lists
 
     @property
     def occp_num(self) -> int:
@@ -172,6 +173,11 @@ class Table:
 
     def live_count(self) -> int:
         return self._live
+
+    def conditional_count(self) -> int:
+        """Live answers with delay lists, kept where an answer gains its
+        first list or loses its last."""
+        return self._conditional
 
     def answer_instance(self, answer: Answer) -> Term:
         """The subgoal instantiated by an answer substitution (cached)."""
@@ -202,6 +208,14 @@ class Table:
 
     def __repr__(self):
         return f"Table({format_term(self.subgoal)}, {self.status}, {len(self.answers)} answers)"
+
+
+def _satisfied(lit: DelayLiteral) -> bool:
+    """A positive literal whose answer is live and unconditional."""
+    if lit.sign != POS:
+        return False
+    answer = lit.table.answers.get(lit.answer_key)
+    return answer is not None and not answer.deleted and not answer.delay_lists
 
 
 class TableSpace:
@@ -249,12 +263,11 @@ class TableSpace:
         conditional count, occp_num."""
         rows = []
         for table in self.tables.values():
-            live = list(table.live_answers())
             rows.append({
                 "subgoal": format_term(table.subgoal),
                 "status": table.status,
-                "answers": len(live),
-                "conditional": sum(1 for a in live if not a.unconditional),
+                "answers": table.live_count(),
+                "conditional": table.conditional_count(),
                 "occp_num": table.occp_num,
             })
         return rows
@@ -275,6 +288,7 @@ class TableSpace:
                 dl = DelayList(delays)
                 answer.delay_lists.append(dl)
                 self._register(table, answer, dl)
+                table._conditional += 1
             table.answers[key] = answer
             table._live += 1
             if answer.unconditional:
@@ -292,6 +306,7 @@ class TableSpace:
                 dl = DelayList(delays)
                 existing.delay_lists.append(dl)
                 self._register(table, existing, dl)
+                table._conditional += 1
             else:
                 if was_cond:
                     self.stats["strengthened"] += 1
@@ -299,18 +314,23 @@ class TableSpace:
                     self._run_events()
             return UNDELETED
 
+        if existing.unconditional:
+            return REPEATED
+        if delays and table.in_reeval:
+            # A re-opened table does not settle its old answers again, so a
+            # list of one must not wait on an answer made true after the
+            # literal was: the registry would never satisfy it.
+            delays = [lit for lit in delays if not _satisfied(lit)]
         if not delays:
-            if existing.unconditional:
-                return REPEATED
             self._strengthen(table, existing)
             self._run_events()
             return STRENGTHENED
-
-        if existing.unconditional:
-            return REPEATED
         dl = DelayList(delays)
         canon = dl.canonical()
-        if any(d.canonical() == canon for d in existing.delay_lists):
+        # a falsified list is no repeat: a re-opened table may derive again
+        # the answer it waited on
+        if any(not d.falsified and d.canonical() == canon
+               for d in existing.delay_lists):
             return REPEATED
         existing.delay_lists.append(dl)
         self._register(table, existing, dl)
@@ -324,9 +344,12 @@ class TableSpace:
                 answer.was_unconditional = answer.unconditional
             answer.deleted = True
         table._live = 0
+        table._conditional = 0
 
     def finalize_reeval(self, table: Table) -> tuple:
-        """Remove still-deleted answers; report (removed, weakened)."""
+        """End a re-derivation: remove still-deleted answers; report
+        (removed, weakened), the marked answers not derived again and those
+        derived again conditional that were unconditional."""
         removed = []
         weakened = []
         for key in [k for k, a in table.answers.items() if a.deleted]:
@@ -400,23 +423,32 @@ class TableSpace:
             if not dl.falsified:
                 self._unregister(dl)
 
-    def _strengthen(self, table: Table, answer: Answer) -> None:
-        if table.status == COMPLETED and table.cursors and self.preserve_hook:
+    def _preserve_views(self, table: Table) -> None:
+        """Snapshot open cursors before an answer changes in place: on a
+        completed table, or on a re-opened one, which keeps its cursors
+        live while it evaluates."""
+        if table.cursors and (table.status == COMPLETED or table.in_reeval) \
+                and self.preserve_hook:
             self.preserve_hook(table)
+
+    def _strengthen(self, table: Table, answer: Answer) -> None:
+        self._preserve_views(table)
         self.stats["strengthened"] += 1
         self._unregister_answer(answer)
         answer.delay_lists = []
+        table._conditional -= 1
         self._queue(("true", table, answer))
 
     def _delete_answer(self, table: Table, answer: Answer) -> None:
         if answer.key not in table.answers:
             return
-        if table.status == COMPLETED and table.cursors and self.preserve_hook:
-            self.preserve_hook(table)
+        self._preserve_views(table)
         del table.answers[answer.key]
         self._unregister_answer(answer)
         if not answer.deleted:
             table._live -= 1
+            if answer.delay_lists:
+                table._conditional -= 1
         self.stats["simplify_deleted"] += 1
         self._queue(("false", table, answer))
 

@@ -3,8 +3,9 @@
 `random_program` makes propositional programs: IDB atoms are tabled, EDB
 atoms (when used) are dynamic incremental facts toggled by updates.
 `random_fo_program` makes first-order programs over a few constants, which
-`ground_fo` grounds for the oracle.  Negation is applied to tabled atoms
-only, matching the load-time restriction on tnot/1.
+`ground_fo` grounds for the oracle, in one of three modes: definite,
+negation-free (rules may hold `undefined`) or normal.  Negation is applied
+to tabled atoms only, matching the load-time restriction on tnot/1.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ def oracle_rules(rules, edb_facts) -> list:
 # where they are free and so skolemized.
 
 FO_CONSTANTS = ("a", "b", "c", "d")
+DEFINITE = "definite"            # no tnot/1, sk_not/1 or undefined
+NEGATION_FREE = "negation_free"  # undefined, but no tnot/1 or sk_not/1
+NORMAL = "normal"                # any of them
 SKOLEMS = ("$sk1", "$sk2")
 _VARS = ("X", "Y", "Z")
 
@@ -95,7 +99,7 @@ def _fo_args(rng: random.Random, arity: int, consts: tuple, pool) -> tuple:
 
 
 def _fo_rule(rng: random.Random, head_pred: str, arity: int, callees: dict,
-             consts: tuple, negatable: dict, definite: bool) -> tuple:
+             consts: tuple, negatable: dict, mode: str) -> tuple:
     body = []
     own = [head_pred] if head_pred in callees else []
     chain = rng.random() < 0.5   # a path X -> ... -> last, as in reach/2
@@ -119,7 +123,9 @@ def _fo_rule(rng: random.Random, head_pred: str, arity: int, callees: dict,
         head = (head_pred, ("X", last)[2 - arity:])
     else:
         head = (head_pred, _fo_args(rng, arity, consts, bound or consts))
-    if not definite:
+    if mode == NEGATION_FREE and rng.random() < 0.7:
+        body.append(("undef",))
+    elif mode == NORMAL:
         for _ in range(rng.randint(0, 2)):
             roll = rng.random()
             pred = rng.choice(sorted(negatable))
@@ -137,9 +143,9 @@ def _fo_rule(rng: random.Random, head_pred: str, arity: int, callees: dict,
     return head, body
 
 
-def random_fo_program(rng: random.Random, definite: bool) -> FoProgram:
+def random_fo_program(rng: random.Random, mode: str) -> FoProgram:
     """2-4 tabled and 1-3 dynamic predicates of arity 1 or 2 over 2-4
-    constants.  A definite program has no tnot/1, sk_not/1 or undefined."""
+    constants, with rules of the given mode."""
     consts = FO_CONSTANTS[:rng.randint(2, 4)]
     idb = {f"p{i}": rng.randint(1, 2) for i in range(rng.randint(2, 4))}
     edb = {f"e{i}": rng.randint(1, 2) for i in range(rng.randint(1, 3))}
@@ -151,7 +157,7 @@ def random_fo_program(rng: random.Random, definite: bool) -> FoProgram:
         options[pred] = (", abstract(0)" if roll < 0.15
                          else ", abstract(1)" if roll < 0.3 else "")
     callees = dict(edb, **idb)
-    rules = [_fo_rule(rng, head, idb[head], callees, consts, idb, definite)
+    rules = [_fo_rule(rng, head, idb[head], callees, consts, idb, mode)
              for head in [rng.choice(sorted(idb)) for _ in range(rng.randint(2, 6))]]
     return FoProgram(consts, idb, edb, options, rules)
 
@@ -171,7 +177,7 @@ def random_fo_dynamic_rule(rng: random.Random, prog: FoProgram):
     i = rng.randrange(1, len(preds))
     lower = {p: prog.edb[p] for p in preds[:i]}
     return _fo_rule(rng, preds[i], prog.edb[preds[i]], lower, prog.consts,
-                    {}, True)
+                    {}, DEFINITE)
 
 
 def fo_atom_text(atom: tuple) -> str:

@@ -678,13 +678,6 @@ s(X) :- f(X).
 t(X) :- e(X), tnot(s(X)).
 e(1). e(2). f(2).
 """, "t(X)", ["e(3)."]),
-    "undefined": ("""
-:- table t/2 as incremental.
-:- dynamic edge/2 as incremental.
-t(X,Y) :- t(X,Z), edge(Z,Y).
-t(X,Y) :- edge(X,Y), undefined.
-edge(1,2).
-""", "t(X,Y)", ["edge(2,3)."]),
     "cut": ("""
 :- table t/1 as incremental.
 :- dynamic e/1 as incremental.
@@ -698,13 +691,6 @@ t(X,Y) :- edge(X,Y).
 t(X,Y) :- t(X,Z), edge(Z,Y).
 edge(1,2).
 """, "t(X,Y)", ["edge(2,3)."]),
-    "conditional": ("""
-:- table t/1, u/0 as incremental.
-:- dynamic e/1 as incremental.
-u :- tnot(u).
-t(X) :- e(X), u.
-e(1).
-""", "t(X)", ["e(2)."]),
     "retract": (REACH, "reach(X,Y)", ["edge(3,1).", "-edge(1,2)."]),
     "through_table": ("""
 :- table t/1, s/1 as incremental.
@@ -742,3 +728,227 @@ def test_semi_naive_fallbacks(reason):
         if update.startswith("-"):
             expected_program = expected_program.replace(update[1:], "")
     assert got == fresh_answers(expected_program, goal, final)
+
+
+# -- semi-naive re-evaluation of negation-free well-founded tables -----------
+
+UREACH = """
+:- table t/2 as incremental.
+:- dynamic edge/2, edge_1/2 as incremental.
+t(X,Y) :- t(X,Z), edge(Z,Y).
+t(X,Y) :- edge(X,Y), undefined.
+t(X,Y) :- edge_1(X,Y).
+"""
+
+REOPENS = {
+    # the clauses hold `undefined`; the new answers are conditional
+    "undefined": ("""
+:- table t/2 as incremental.
+:- dynamic edge/2 as incremental.
+t(X,Y) :- t(X,Z), edge(Z,Y).
+t(X,Y) :- edge(X,Y), undefined.
+edge(1,2).
+""", "t(X,Y)", ["edge(2,3)."]),
+    # the answers are conditional on an undefined table the clauses call
+    "conditional": ("""
+:- table t/1, u/0 as incremental.
+:- dynamic e/1 as incremental.
+u :- tnot(u).
+t(X) :- e(X), u.
+e(1).
+""", "t(X)", ["e(2)."]),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(REOPENS))
+def test_negation_free_reopens(reason):
+    """A negation-free table with conditional answers is re-opened after an
+    insert, and answers as a fresh engine does."""
+    program, goal, updates = REOPENS[reason]
+    engine = Engine()
+    engine.consult_text(program)
+    list(engine.query(goal))
+    for update in updates:
+        engine.store.assert_clause(parse_clause(update))
+    assert node_of(engine, goal).invalid
+    got = answers_of(engine.query(goal))
+    assert engine.stats.semi_naive == engine.stats.reevals == 1
+    assert got == fresh_answers(program, goal, updates)
+    assert any(truth == "undefined" for _, truth in got)
+
+
+def test_strengthen_only_insert_reopens():
+    """An insert that only turns an old undefined answer true re-opens the
+    table; the registry passes the strengthening on to the dependents, one
+    through a positive and one through a negative literal."""
+    program = UREACH + """
+:- table top/1, neg/1 as incremental.
+top(Y) :- t(1,Y).
+neg(Y) :- edge(_,Y), tnot(t(1,Y)).
+edge(1,2). edge(2,3).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("top(Y)")) == [
+        ((2,), "undefined"), ((3,), "undefined")]
+    assert answers_of(engine.query("neg(Y)")) == [
+        ((2,), "undefined"), ((3,), "undefined")]
+    engine.store.assert_clause(parse_clause("edge_1(1,2)."))
+    facts = ["edge_1(1,2)."]
+    assert answers_of(engine.query("top(Y)")) == fresh_answers(
+        program, "top(Y)", facts) == [((2,), "true"), ((3,), "true")]
+    assert answers_of(engine.query("neg(Y)")) == fresh_answers(
+        program, "neg(Y)", facts) == []
+    assert answers_of(engine.query("t(1,Y)")) == fresh_answers(
+        program, "t(1,Y)", facts)
+    assert engine.stats.semi_naive == 1
+
+
+def test_cursor_held_across_in_place_strengthening():
+    """A re-opened table strengthens an old answer while it evaluates: a
+    cursor opened before the insert keeps the old truth value."""
+    program = UREACH + "edge(1,2). edge(2,3).\n"
+    engine = Engine()
+    engine.consult_text(program)
+    held = engine.query("t(X,Y)")
+    engine.store.assert_clause(parse_clause("edge_1(1,2)."))
+    fresh = answers_of(engine.query("t(X,Y)"))
+    assert engine.stats.semi_naive == 1
+    assert ((1, 2), "true") in fresh
+    assert fresh == fresh_answers(program, "t(X,Y)", ["edge_1(1,2)."])
+    assert answers_of(held) == [
+        ((1, 2), "undefined"), ((1, 3), "undefined"), ((2, 3), "undefined")]
+
+
+def test_reopen_reads_no_flags_of_an_earlier_rederivation():
+    """A re-derivation that weakens an answer, then a re-open that changes
+    nothing: the re-open reports no weakening, and the dependent is
+    revalidated, not re-evaluated."""
+    program = """
+:- table t/1, d/1 as incremental.
+:- dynamic e/1, f/1, g/1 as incremental.
+t(X) :- e(X).
+t(X) :- f(X), undefined.
+t(X) :- g(X), undefined.
+d(X) :- t(X).
+e(1). f(1).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("d(X)")) == [((1,), "true")]
+    engine.store.retract_clause(parse_clause("e(1)."))
+    assert answers_of(engine.query("d(X)")) == [((1,), "undefined")]
+    t_node = node_of(engine, "t(X)")
+    assert t_node.outcome.weakened == 1
+    assert engine.stats.semi_naive == 0
+    engine.store.assert_clause(parse_clause("g(1)."))
+    reevals = engine.stats.reevals
+    assert answers_of(engine.query("d(X)")) == [((1,), "undefined")]
+    assert engine.stats.semi_naive == 1
+    assert engine.stats.reevals == reevals + 1   # t only
+    assert t_node.outcome.weakened == 0 and not t_node.outcome.changed
+
+
+def test_semi_naive_ureach_assert_round_steps():
+    """The ureach twin of test_semi_naive_assert_round_steps: a batch of
+    edge_1 facts over a well-founded table re-opens it, for a fraction of
+    the steps of the retract round, which re-derives it."""
+    from incrtab.bench import GraphSpec, gen_graph_facts
+
+    facts = list(gen_graph_facts(GraphSpec(2000, 1000, seed=1)))
+    batch = [f"edge_1({n},{n + 7})." for n in range(1, 2000, 100)]
+    engine = Engine()
+    engine.consult_text(UREACH + "\n".join(facts) + "\n")
+    list(engine.query("t(X,Y)"))
+    rounds = []
+    for update in (engine.store.assert_clause, engine.store.retract_clause):
+        for fact in batch:
+            update(parse_clause(fact))
+        steps = engine.stats.steps
+        list(engine.query("t(X,Y)"))
+        rounds.append(engine.stats.steps - steps)
+    assert engine.stats.semi_naive == 1 and engine.stats.reevals == 2
+    assert rounds[0] <= 0.2 * rounds[1], rounds
+
+
+def test_reopen_derives_again_a_list_it_had_falsified():
+    """t(a) is unfounded at first (s(a) is false), so t(b) keeps its list
+    through t(a) falsified.  Inserts make t(a) undefined, then true: the
+    re-open must record t(b)'s list through t(a) again, or the registry
+    cannot strengthen t(b) when t(a) turns true."""
+    program = """
+:- table t/1, s/1, q/1, r/1 as incremental.
+:- dynamic g/1, h/1, e/1, f/1, base/1, link/2 as incremental.
+r(X) :- g(X), h(X).
+q(X) :- g(X), tnot(r(X)).
+s(X) :- g(X), tnot(q(X)).
+t(X) :- s(X).
+t(X) :- t(Y), link(Y,X).
+t(X) :- base(X), undefined.
+t(X) :- e(X), undefined.
+t(X) :- f(X).
+g(a). link(a,b). base(b).
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("t(X)")) == [(("b",), "undefined")]
+    facts = []
+    for fact in ("e(a).", "f(a)."):
+        engine.store.assert_clause(parse_clause(fact))
+        facts.append(fact)
+        assert answers_of(engine.query("t(X)")) == fresh_answers(
+            program, "t(X)", facts)
+    assert answers_of(engine.query("t(X)")) == [
+        (("a",), "true"), (("b",), "true")]
+    assert engine.stats.semi_naive == 2
+
+
+def test_reopen_drops_a_literal_satisfied_before_its_derivation_ends():
+    """The re-open resumes t(1,2), still undefined, towards t(1,5); before
+    that derivation ends, t(1,7) and edge(7,2) make t(1,2) true.  The
+    literal on t(1,2) must not be recorded: t(1,5) is an old answer, which
+    the re-open does not settle, so it would stay undefined."""
+    program = UREACH + "edge(1,3). edge(3,2). edge(3,5).\nedge_1(1,7).\n"
+    engine = Engine()
+    engine.consult_text(program)
+    assert ((1, 5), "undefined") in answers_of(engine.query("t(X,Y)"))
+    facts = ["edge(7,2).", "edge(2,5)."]
+    for fact in facts:
+        engine.store.assert_clause(parse_clause(fact))
+    got = answers_of(engine.query("t(X,Y)"))
+    assert engine.stats.semi_naive == 1
+    assert got == fresh_answers(program, "t(X,Y)", facts)
+    assert ((1, 2), "true") in got and ((1, 5), "true") in got
+
+
+def test_reopen_in_a_component_with_a_negative_loop():
+    """The re-open of t calls new tables that loop back to it, one through
+    tnot(t).  t is made true while its component settles, so its old
+    answer cannot be read as undefined there: p and q, supported only by
+    not t and by each other, are false."""
+    program = """
+:- table t/0, n/0, z/0, zz/0, p/0, q/0 as incremental.
+:- dynamic base/0, f/0, h/0, g/0 as incremental.
+t :- base, undefined.
+t :- f, n.
+t :- h, p.
+n :- g, tnot(z).
+z :- g, t, zz.
+zz :- z.
+p :- tnot(t).
+p :- q.
+q :- p.
+base. g.
+"""
+    engine = Engine()
+    engine.consult_text(program)
+    assert answers_of(engine.query("t")) == [((), "undefined")]
+    facts = ["f.", "h."]
+    for fact in facts:
+        engine.store.assert_clause(parse_clause(fact))
+    assert answers_of(engine.query("t")) == [((), "true")]
+    assert engine.stats.semi_naive == 1
+    for goal in ("n", "z", "zz", "p", "q"):
+        assert answers_of(engine.query(goal)) == fresh_answers(
+            program, goal, facts)
+    assert answers_of(engine.query("p")) == []

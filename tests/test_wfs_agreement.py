@@ -14,6 +14,9 @@ from incrtab.tables import INCOMPLETE, TableSpace
 from incrtab.terms import Const, format_term
 
 from genprog import (
+    DEFINITE,
+    NEGATION_FREE,
+    NORMAL,
     fo_atom_text,
     fo_clause_text,
     fo_program_text,
@@ -172,8 +175,9 @@ def _fo_answers(engine, pred, arity, first=None):
 
 def _check_fo_state(engine, prog, stored, rng):
     """Every tabled predicate's open query, and one query with a bound
-    first argument, against the oracle; the O(1) live counts; and the
-    simplification registry, after the update and after the queries."""
+    first argument, against the oracle; the O(1) live and conditional
+    counts; and the simplification registry, after the update and after
+    the queries."""
     assert_registry_exact(engine.space)
     model = well_founded_model(ground_fo(prog, prog.rules + stored))
     for pred, arity in prog.idb.items():
@@ -188,18 +192,22 @@ def _check_fo_state(engine, prog, stored, rng):
             assert _fo_answers(engine, pred, arity, bound) == want, (
                 fo_program_text(prog), stored, pred, bound)
     for table in engine.space.tables.values():
-        assert table.live_count() == sum(
-            1 for a in table.answers.values() if not a.deleted)
+        live = [a for a in table.answers.values() if not a.deleted]
+        assert table.live_count() == len(live)
+        assert table.conditional_count() == sum(
+            1 for a in live if not a.unconditional)
     assert_registry_exact(engine.space)
 
 
-def _fo_updates(seed, after_update):
+def _fo_updates(seed, after_update, mode=None):
     """Run seed's random first-order program through its random asserts and
     retracts of facts and dynamic rules, calling after_update(engine, prog,
     stored, rng) after the initial facts and after each update; returns the
-    engine."""
+    engine.  The program is of the given mode, or by default definite in
+    four runs of five and normal otherwise."""
     rng = random.Random(seed)
-    prog = random_fo_program(rng, definite=rng.random() < 0.8)
+    definite = rng.random() < 0.8
+    prog = random_fo_program(rng, mode or (DEFINITE if definite else NORMAL))
     engine = Engine()
     engine.consult_text(fo_program_text(prog))
     stored = []   # (head, body) of every stored dynamic clause
@@ -242,16 +250,46 @@ def test_first_order_incremental_agreement():
     assert 2 * reopened >= runs, (reopened, runs)
 
 
+def _record_conditional_reopens(monkeypatch) -> list:
+    """Make Engine._reopen note, for each table it re-opens, whether the
+    table holds a conditional answer; returns the list of notes."""
+    notes: list = []
+    reopen = Engine._reopen
+
+    def recording(engine, evaluation, table):
+        notes.append(table.conditional_count() > 0)
+        return reopen(engine, evaluation, table)
+
+    monkeypatch.setattr(Engine, "_reopen", recording)
+    return notes
+
+
+def test_negation_free_incremental_agreement(monkeypatch):
+    """Random negation-free first-order programs, whose rules may hold
+    `undefined`, agree with the oracle after every update; at least a
+    quarter of the runs re-open a table that holds conditional answers."""
+    notes = _record_conditional_reopens(monkeypatch)
+    runs = reopened = 0
+    for seed in range(300):
+        notes.clear()
+        _fo_updates(seed, _check_fo_state, NEGATION_FREE)
+        runs += 1
+        reopened += any(notes)
+    assert 4 * reopened >= runs, (reopened, runs)
+
+
 class Injected(BaseException):
     """The injected fault: like KeyboardInterrupt, not an Exception."""
 
 
-def _interrupt_one_query_per_update(monkeypatch, targets, k_max, seeds):
-    """The first-order fuzzer with a fault injected after each update: one
-    open query on a random tabled predicate is interrupted at the k-th call
-    (k random in 1..k_max) made to any of targets, (owner, method name)
-    pairs, and then the whole state is checked against the oracle.  Returns
-    the number of queries interrupted."""
+def _interrupt_one_query_per_update(monkeypatch, targets, k_max, seeds,
+                                    mode=None):
+    """The first-order fuzzer (programs of the given mode, see _fo_updates)
+    with a fault injected after each update: one open query on a random
+    tabled predicate is interrupted at the k-th call (k random in 1..k_max)
+    made to any of targets, (owner, method name) pairs, and then the whole
+    state is checked against the oracle.  Returns the number of queries
+    interrupted."""
     countdown = [0]
 
     def interrupting(original):
@@ -281,7 +319,7 @@ def _interrupt_one_query_per_update(monkeypatch, targets, k_max, seeds):
         _check_fo_state(engine, prog, stored, rng)
 
     for seed in seeds:
-        _fo_updates(seed, interrupt_then_check)
+        _fo_updates(seed, interrupt_then_check, mode)
     return interrupts
 
 
@@ -293,13 +331,22 @@ def test_interrupted_evaluation_steps_agree_with_the_oracle(monkeypatch):
     assert interrupts >= 200
 
 
+SETTLEMENT = [(TableSpace, "strengthen_answer"), (TableSpace, "delete_answer"),
+              (TableSpace, "finalize_reeval"), (TableSpace, "_on_answer_true")]
+
+
 def test_interrupted_settlement_agrees_with_the_oracle(monkeypatch):
     """An evaluation interrupted while it settles answers -- strengthening,
     deleting, finishing a re-evaluation or simplifying after an answer
     became true -- leaves the engine in agreement with the oracle."""
     interrupts = _interrupt_one_query_per_update(
-        monkeypatch,
-        [(TableSpace, "strengthen_answer"), (TableSpace, "delete_answer"),
-         (TableSpace, "finalize_reeval"), (TableSpace, "_on_answer_true")],
-        4, range(300))
+        monkeypatch, SETTLEMENT, 4, range(300))
+    assert interrupts >= 100
+
+
+def test_interrupted_negation_free_settlement_agrees_with_the_oracle(monkeypatch):
+    """The settlement faults over negation-free programs, where a re-opened
+    table strengthens old answers in place while it evaluates."""
+    interrupts = _interrupt_one_query_per_update(
+        monkeypatch, SETTLEMENT, 4, range(300), NEGATION_FREE)
     assert interrupts >= 100
